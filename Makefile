@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint race race-workers race-sessions stress-sessions check bench bench-diff fuzz fmt
+.PHONY: all build test vet lint race race-workers race-sessions stress-sessions perfbench check bench bench-diff fuzz fmt
 
 all: build
 
@@ -28,8 +28,9 @@ race:
 # parallel pipelines) under the race detector at several GOMAXPROCS
 # settings: 1 forces serial plans, 2 and 8 vary worker counts and
 # goroutine interleavings through the morsel-driven pipelines. The final
-# leg drives striped segment scans (frozen pages shared across parallel
-# partitions, plus the UPDATE un-freeze path) end to end.
+# leg drives the page-at-a-time batch scan end to end over never-frozen,
+# frozen and mixed heaps (frozen pages shared across Gather partitions,
+# row-form tails, and the UPDATE un-freeze path).
 race-workers:
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestProperty|TestParallel' ./internal/rdbms/exec/
 	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'TestProperty|TestParallel' ./internal/rdbms/exec/
@@ -56,11 +57,18 @@ race-sessions:
 stress-sessions:
 	GOMAXPROCS=8 $(GO) test -race -count=10 -timeout 10m -run 'TestSnapshotStress|TestSnapshotIsolation' ./internal/rdbms/
 
+# perfbench vets and tests the benchmark harness. It is its own Go module
+# (perfbench/go.mod), so the root build and test never compile it; this
+# leg catches executor API changes that would break the benchmark.
+perfbench:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+
 # check is the gate CI runs: static analysis plus the full test suite
 # under the race detector (the parallel pipelines are the main
 # concurrency surface), with extra GOMAXPROCS legs for the executor and
-# the concurrent-session/snapshot surface.
-check: vet lint race race-workers race-sessions
+# the concurrent-session/snapshot surface, and the benchmark module.
+check: vet lint race race-workers race-sessions perfbench
 
 # fuzz exercises the serializer's read side (the same target CI runs as a
 # non-blocking job); the checked-in corpus lives in

@@ -7,12 +7,15 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/sinewdata/sinew/internal/jsonx"
 )
 
-// segmentDB loads enough random documents that ANALYZE freezes several
-// full pages into column-striped segments (rowsPerPage = 128, so 400
-// documents give three freezable pages plus a row-form tail).
-func segmentDB(t *testing.T) (*DB, int) {
+// loadedDB loads enough random documents into collection d that ANALYZE
+// can freeze several full pages into column-striped segments
+// (rowsPerPage = 128, so 400 documents give three freezable pages plus a
+// row-form tail). Nothing is analyzed yet: every page is in row form.
+func loadedDB(t *testing.T) *DB {
 	t.Helper()
 	// The planner caps workers at GOMAXPROCS; raise it so the parallel
 	// legs genuinely parallelize even on single-CPU runners.
@@ -26,14 +29,17 @@ func segmentDB(t *testing.T) (*DB, int) {
 	if _, err := db.LoadDocuments("d", docs); err != nil {
 		t.Fatal(err)
 	}
+	return db
+}
+
+// segmentDB is loadedDB after ANALYZE froze its full pages.
+func segmentDB(t *testing.T) (*DB, int) {
+	t.Helper()
+	db := loadedDB(t)
 	if err := db.RDBMS().Analyze("d"); err != nil {
 		t.Fatal(err)
 	}
-	heap, _, err := db.RDBMS().Table("d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	frozen := heap.NumFrozenPages()
+	frozen := frozenPages(t, db)
 	if frozen == 0 {
 		t.Fatal("ANALYZE froze no pages; striped path untested")
 	}
@@ -67,23 +73,16 @@ func sortedResultKey(res *QueryResult) string {
 }
 
 // segmentLegs are the executor configurations every query must agree
-// across: the row-at-a-time reference, the plain batch pipeline, the
-// striped segment scan, and the parallel striped scan.
+// across: the row-at-a-time reference, the serial batch scan, and the
+// batch scan partitioned under a parallel gather.
 var segmentLegs = []struct {
 	name  string
 	stmts []string
 }{
-	{"row", []string{
-		`SET enable_batch = off`, `SET enable_striped = off`,
-		`SET max_parallel_workers = 1`}},
-	{"batch", []string{
-		`SET enable_batch = on`, `SET enable_striped = off`,
-		`SET max_parallel_workers = 1`}},
-	{"striped", []string{
-		`SET enable_batch = on`, `SET enable_striped = on`,
-		`SET max_parallel_workers = 1`}},
+	{"row", []string{`SET enable_batch = off`, `SET max_parallel_workers = 1`}},
+	{"striped", []string{`SET enable_batch = on`, `SET max_parallel_workers = 1`}},
 	{"striped-parallel", []string{
-		`SET enable_batch = on`, `SET enable_striped = on`,
+		`SET enable_batch = on`,
 		`SET max_parallel_workers = 4`, `SET parallel_scan_min_pages = 1`}},
 }
 
@@ -113,12 +112,13 @@ func runSegmentLegs(t *testing.T, db *DB, phase string, queries []string) {
 	mustSet(t, db, segmentLegs[0].stmts...) // leave in a known state
 }
 
-// TestStripedSegmentDifferential pins the tentpole's correctness
-// contract: with cold pages frozen into per-attribute segments, every
-// executor leg returns the same rows — including after an UPDATE
-// un-freezes pages mid-table, leaving a frozen/row-form mix.
+// TestStripedSegmentDifferential pins the scan's correctness contract:
+// every executor leg returns the same rows over a heap never analyzed,
+// with cold pages frozen into per-attribute segments, with a row-form
+// tail loaded behind them, and after an UPDATE un-freezes pages
+// mid-table, leaving a frozen/row-form mix. A predicate that fails on a
+// row-form page fails with the row engine's error on every leg.
 func TestStripedSegmentDifferential(t *testing.T) {
-	db, frozen := segmentDB(t)
 	queries := []string{
 		`SELECT name FROM d`,
 		`SELECT name, num, score, flag FROM d`,
@@ -126,7 +126,7 @@ func TestStripedSegmentDifferential(t *testing.T) {
 		`SELECT dyn, num FROM d`,
 		`SELECT name, num FROM d WHERE num >= 10`,
 		`SELECT COUNT(*) FROM d WHERE score IS NOT NULL`,
-		// In-scan selection: striped scans compile these predicates into
+		// In-scan selection: the scan compiles these predicates into
 		// selection-vector kernels over the page's attribute vectors,
 		// including string matches over extracted virtual keys.
 		`SELECT * FROM d WHERE name = 'frosty' OR num < 5`,
@@ -137,11 +137,49 @@ func TestStripedSegmentDifferential(t *testing.T) {
 		`SELECT num, COUNT(*) FROM d WHERE num >= 5 GROUP BY num ORDER BY num LIMIT 7`,
 		`SELECT name, num FROM d WHERE num < 15 ORDER BY num, name LIMIT 9`,
 	}
+	db := loadedDB(t)
+	runSegmentLegs(t, db, "never analyzed", queries)
+
+	if err := db.RDBMS().Analyze("d"); err != nil {
+		t.Fatal(err)
+	}
+	frozen := frozenPages(t, db)
+	if frozen == 0 {
+		t.Fatal("ANALYZE froze no pages; striped path untested")
+	}
 	runSegmentLegs(t, db, "frozen", queries)
+
+	// Load a tail behind the frozen pages without re-analyzing. Its last
+	// document holds a num no other document has, so the predicate below
+	// divides by zero on a row-form page only.
+	tail := randomDocs(rand.New(rand.NewSource(8)), 150)
+	tail[len(tail)-1].Set("num", jsonx.IntValue(999))
+	if _, err := db.LoadDocuments("d", tail); err != nil {
+		t.Fatal(err)
+	}
+	if got := frozenPages(t, db); got != frozen {
+		t.Fatalf("loading the tail changed frozen pages %d -> %d", frozen, got)
+	}
+	runSegmentLegs(t, db, "row-form tail", queries)
+	const divZero = `SELECT name FROM d WHERE 1 / (num - 999) > 0`
+	var rowErr error
+	for _, leg := range segmentLegs {
+		mustSet(t, db, leg.stmts...)
+		_, err := db.Query(divZero)
+		if leg.name == "row" {
+			if rowErr = err; err == nil {
+				t.Fatalf("row mode: %s did not fail", divZero)
+			}
+			continue
+		}
+		if err == nil || err.Error() != rowErr.Error() {
+			t.Errorf("%s: %s failed with %v, row mode with %v", leg.name, divZero, err, rowErr)
+		}
+	}
 
 	// UPDATE rows scattered across the table: the touched pages un-freeze
 	// back to row form, so scans now cross a frozen/row-form mix.
-	mustSet(t, db, `SET enable_batch = on`, `SET enable_striped = on`)
+	mustSet(t, db, `SET enable_batch = on`)
 	if _, err := db.Query(`UPDATE d SET name = 'frosty' WHERE num = 7`); err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +200,8 @@ func TestStripedSegmentDifferential(t *testing.T) {
 }
 
 // TestStripedExplainAnnotation pins the EXPLAIN surface: scans over a
-// segmented heap advertise the striped path, and SET enable_striped =
-// off removes it.
+// segmented heap advertise the striped path, filtered scans the in-scan
+// selection, and a heap with no frozen pages is not called striped.
 func TestStripedExplainAnnotation(t *testing.T) {
 	db, _ := segmentDB(t)
 	text, err := db.Explain(`SELECT name, num FROM d`)
@@ -197,13 +235,21 @@ func TestStripedExplainAnnotation(t *testing.T) {
 			t.Errorf("parallel filtered EXPLAIN should show %q:\n%s", want, text)
 		}
 	}
-	mustSet(t, db, `SET max_parallel_workers = 1`, `SET enable_striped = off`)
-	text, err = db.Explain(`SELECT name, num FROM d`)
+	// A never-analyzed collection has only row-form pages: its filtered
+	// scan still selects in-scan but reads no segments.
+	mustSet(t, db, `SET max_parallel_workers = 1`)
+	if err := db.CreateCollection("raw"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.LoadDocuments("raw", randomDocs(rand.New(rand.NewSource(9)), 50)); err != nil {
+		t.Fatal(err)
+	}
+	text, err = db.Explain(`SELECT name FROM raw WHERE num >= 10`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(text, "striped") {
-		t.Errorf("enable_striped=off must disable the striped path:\n%s", text)
+	if strings.Contains(text, "striped") || !strings.Contains(text, "sel") {
+		t.Errorf("EXPLAIN over a never-analyzed heap should show sel, not striped:\n%s", text)
 	}
 }
 
@@ -261,8 +307,7 @@ func TestSinewStatsSegmentCounters(t *testing.T) {
 // striped scans under a parallel gather are counted separately.
 func TestSinewStatsSelCounters(t *testing.T) {
 	db, _ := segmentDB(t)
-	mustSet(t, db, `SET enable_batch = on`, `SET enable_striped = on`,
-		`SET max_parallel_workers = 1`)
+	mustSet(t, db, `SET enable_batch = on`, `SET max_parallel_workers = 1`)
 	selBefore := statCounter(t, db, "sel_vector_batches")
 	if _, err := db.Query(`SELECT name, num FROM d WHERE num >= 10`); err != nil {
 		t.Fatal(err)

@@ -9,7 +9,7 @@ import (
 // contract: ORDER BY (multi-key, ASC/DESC, NULL ordering, virtual and
 // multi-typed keys) and ORDER BY + LIMIT return byte-identical results —
 // same rows, same order — across the row reference, the serial batch
-// pipeline, the striped scan, and the parallel sorted-merge gather. The
+// pipeline over the striped scan, and the parallel sorted-merge gather. The
 // comparison is order-preserving on purpose: local stable sorts over
 // ascending page ranges merged with a partition-index tie-break must
 // reproduce the serial stable sort exactly, ties included.
@@ -60,7 +60,7 @@ func TestOrderByDifferential(t *testing.T) {
 // its sort as batch.
 func TestOrderByExplain(t *testing.T) {
 	db, _ := segmentDB(t)
-	mustSet(t, db, `SET enable_batch = on`, `SET enable_striped = on`,
+	mustSet(t, db, `SET enable_batch = on`,
 		`SET max_parallel_workers = 4`, `SET parallel_scan_min_pages = 1`)
 
 	text, err := db.Explain(`SELECT name, num FROM d ORDER BY num`)

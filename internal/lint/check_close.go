@@ -22,7 +22,7 @@ import (
 // parameter is closed on every path through its CFG (a `defer s.Close()`
 // reaching every return), and the type's Close waits on a sync.WaitGroup
 // field, then the workers provably close the field's contents before
-// Close returns — the ParallelScanIter pattern, previously only
+// Close returns — the partitioned-worker pattern, otherwise only
 // expressible as a //lint:ignore.
 type ClosePropagation struct{}
 

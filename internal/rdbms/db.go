@@ -240,12 +240,6 @@ func (db *DB) execSet(st *sqlparse.SetStmt) (*Result, error) {
 			return nil, err
 		}
 		db.cfg.EnablePageSkip = b
-	case "enable_striped":
-		b, err := setBoolValue(st)
-		if err != nil {
-			return nil, err
-		}
-		db.cfg.EnableStriped = b
 	default:
 		return nil, fmt.Errorf("rdbms: SET %s: unrecognized configuration parameter (known: %s)",
 			st.Name, strings.Join(sessionVars, ", "))
@@ -256,7 +250,7 @@ func (db *DB) execSet(st *sqlparse.SetStmt) (*Result, error) {
 // sessionVars lists every session variable execSet accepts, for the
 // unknown-parameter error. Keep sorted and in sync with the switch above.
 var sessionVars = []string{
-	"batch_size", "enable_batch", "enable_page_skip", "enable_striped",
+	"batch_size", "enable_batch", "enable_page_skip",
 	"max_parallel_workers", "parallel_scan_min_pages",
 }
 

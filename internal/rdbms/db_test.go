@@ -361,6 +361,8 @@ func TestSetValidationErrors(t *testing.T) {
 		{`SET parallel_scan_min_pages = many`, []string{"rdbms: SET parallel_scan_min_pages:", "requires an integer value"}},
 		{`SET enable_batch = 42`, []string{"rdbms: SET enable_batch:", "requires a boolean value"}},
 		{`SET enable_page_skip = 'yes'`, []string{"rdbms: SET enable_page_skip:", "requires a boolean value"}},
+		// The batch scan has one page mode: there is no striped toggle.
+		{`SET enable_striped = on`, []string{"rdbms: SET enable_striped:", "unrecognized configuration parameter"}},
 	}
 	for _, tc := range cases {
 		_, err := db.Exec(tc.sql)

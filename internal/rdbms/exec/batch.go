@@ -45,7 +45,7 @@ type RowBatch struct {
 	Nulls []NullBitmap
 	// Segs, when non-nil, carries the column segments backing this batch:
 	// Segs[j] is the striped encoding of column j when the batch aliases a
-	// frozen heap page, nil for plain columns. Only striped scans set it;
+	// frozen heap page, nil for plain columns. Only the batch scan sets it;
 	// segment-aware operators (BatchMultiExtractIter.SegKernel) may read a
 	// column's values straight from the segment instead of Cols[j].
 	Segs []storage.ColumnSegment
@@ -169,33 +169,11 @@ func (b *RowBatch) AliasCol(j int, src *RowBatch, srcIdx int) {
 	}
 }
 
-// FillRows replaces the batch contents with a column-wise transpose of
-// rows, growing column and bitmap capacity as needed. It is the bulk
-// equivalent of calling AppendRow per row, without per-cell append and
-// bitmap-grow checks. When cols is non-nil only those column indices are
-// materialized; the rest stay empty (length 0) — the pruned-scan shape,
-// where unreferenced columns are never copied out of the heap.
-func (b *RowBatch) FillRows(rows []storage.Row, cols []int) {
-	words := bitmapWords(len(rows))
-	if cols == nil {
-		for j := range b.Cols {
-			b.fillCol(j, rows, words)
-		}
-	} else {
-		for j := range b.Cols {
-			b.Cols[j] = b.Cols[j][:0]
-			b.Nulls[j] = b.Nulls[j][:0]
-		}
-		for _, j := range cols {
-			b.fillCol(j, rows, words)
-		}
-	}
-	b.n = len(rows)
-}
-
-// fillCol transposes column j of rows into the batch.
-func (b *RowBatch) fillCol(j int, rows []storage.Row, words int) {
+// fillCol transposes column j of rows into the batch, growing column and
+// bitmap capacity as needed.
+func (b *RowBatch) fillCol(j int, rows []storage.Row) {
 	n := len(rows)
+	words := bitmapWords(n)
 	col := b.Cols[j]
 	if cap(col) < n {
 		col = make([]types.Datum, n)
@@ -411,115 +389,72 @@ type BatchSizeHinter interface {
 
 // ---------- Batch scan ----------
 
-// BatchScanIter reads a heap page range in chunks, transposes rows into
-// column-major batches, and applies an optional pushed-down filter with
-// batch expression evaluation. It is the leaf of every batch pipeline.
+// BatchScanIter is the leaf of every batch pipeline: it reads a heap page
+// range one page at a time (striped.go). Frozen pages become batches whose
+// columns alias the page's immutable vectors; row-form pages are
+// transposed into a scan-owned batch. A pushed-down filter runs in-scan as
+// a SelFilter (selfilter.go) and publishes the surviving rows of either
+// page kind through a selection vector.
 type BatchScanIter struct {
-	Filter Expr
 	// NeedCols, when non-nil, lists the only column indices downstream
 	// operators read (ascending). The scan materializes just those columns
-	// into its batches; the rest stay empty. Set before the first
-	// NextBatch.
+	// (plus any its filter reads) into its batches; the rest stay empty.
+	// Set before the first NextBatch.
 	NeedCols []int
 
-	chunk  *storage.HeapChunkIter
-	width  int
-	size   int
-	nrows  int64 // heap row count at open (for SizeHint; no filter only)
-	reuse  bool
-	batch  *RowBatch
-	rowBuf []storage.Row
-	ctx    *EvalCtx
-	keep   []bool
+	chunk *storage.HeapChunkIter
+	width int
+	nrows int64 // row count of the scanned range, -1 for a partial range
+	ctx   *EvalCtx
+	heap  *storage.Heap
 
-	// Striped page mode (EnableStriped): page-at-a-time reads that deliver
-	// frozen pages as column aliases plus their segments. See striped.go.
-	striped bool
+	// Page state: the page being read, the batch it is read into, and
+	// which of its columns are materialized.
+	page    storage.PageView
+	cur     *RowBatch
+	filled  []bool
 	shell   *RowBatch     // frozen-page shell; aliases, never pooled/Reset
-	own     *RowBatch     // owned transpose buffer for row-form pages
+	own     *RowBatch     // pooled transpose buffer for row-form pages
 	pageBuf []storage.Row // ReadPage row buffer (one full page)
 
-	// In-scan selection filtering (selfilter.go): the compiled filter, its
-	// per-scan state, and the count of selection-carrying batches emitted
-	// (flushed to the heap's stats on Close).
+	// In-scan selection filtering: the compiled filter, its per-scan
+	// state, and the count of selection-carrying batches emitted (flushed
+	// to the heap's stats on Close).
 	sf         *SelFilter
 	selState   *selScanState
-	heap       *storage.Heap
 	selBatches int64
 }
 
-// NewBatchScan returns a batch scan over all pages of v.
-func NewBatchScan(v storage.ReadView, filter Expr, size int) *BatchScanIter {
-	return NewBatchScanRange(v, filter, size, 0, v.NumPages())
+// NewBatchScan returns a batch scan over all pages of v, filtered by sf
+// (nil for none).
+func NewBatchScan(v storage.ReadView, sf *SelFilter) *BatchScanIter {
+	return NewBatchScanRange(v, sf, 0, v.NumPages())
 }
 
 // NewBatchScanRange returns a batch scan over pages [start, end) of v —
-// one partition of a parallel scan. Stat flushes on Close key on the
-// view's owner heap, so snapshot scans account like live scans.
-func NewBatchScanRange(v storage.ReadView, filter Expr, size, start, end int) *BatchScanIter {
-	if size <= 0 {
-		size = DefaultBatchSize
+// one partition of a parallel pipeline. sf is the compiled pushed-down
+// filter (nil for none); it is immutable and may be shared by every
+// partition. Stat flushes on Close key on the view's owner heap, so
+// snapshot scans account like live scans.
+func NewBatchScanRange(v storage.ReadView, sf *SelFilter, start, end int) *BatchScanIter {
+	nrows := int64(-1)
+	if start <= 0 && end >= v.NumPages() {
+		nrows = v.NumRows()
 	}
 	return &BatchScanIter{
-		Filter: filter,
-		chunk:  v.IterateRange(start, end),
-		width:  len(v.Schema().Cols),
-		size:   size,
-		nrows:  v.NumRows(),
-		reuse:  true,
-		ctx:    NewEvalCtx(),
-		heap:   v.Owner(),
+		chunk: v.IterateRange(start, end),
+		width: len(v.Schema().Cols),
+		nrows: nrows,
+		ctx:   NewEvalCtx(),
+		heap:  v.Owner(),
+		sf:    sf,
 	}
 }
-
-// setNoReuse makes every NextBatch return a freshly allocated batch (the
-// parallel scan hands batches across goroutines, so they cannot be
-// recycled by the producer).
-func (s *BatchScanIter) setNoReuse() { s.reuse = false }
 
 // SetPageSkip installs a page-skip predicate on the underlying chunk
 // cursor (storage page summaries); must be called before the first
 // NextBatch.
 func (s *BatchScanIter) SetPageSkip(f func(*storage.PageSummary) bool) { s.chunk.SetSkip(f) }
-
-// NextBatch implements BatchIterator.
-func (s *BatchScanIter) NextBatch() (*RowBatch, error) {
-	if s.striped {
-		return s.nextStriped()
-	}
-	if s.rowBuf == nil {
-		s.rowBuf = make([]storage.Row, s.size)
-	}
-	for {
-		var b *RowBatch
-		if s.reuse {
-			if s.batch == nil {
-				s.batch = GetBatch(s.width)
-			}
-			b = s.batch
-		} else {
-			b = GetBatch(s.width)
-		}
-		n := s.chunk.ReadRows(s.rowBuf)
-		if n == 0 {
-			return nil, nil
-		}
-		b.FillRows(s.rowBuf[:n], s.NeedCols)
-		if s.Filter == nil {
-			return b, nil
-		}
-		s.ctx.BeginBatch()
-		keep, err := EvalPredBatch(s.Filter, b, s.ctx, s.keep)
-		if err != nil {
-			return nil, err
-		}
-		s.keep = keep
-		if kept := compactBatch(b, keep); kept > 0 {
-			return b, nil
-		}
-		// Whole batch filtered out: read the next chunk.
-	}
-}
 
 // Close implements BatchIterator.
 func (s *BatchScanIter) Close() {
@@ -528,69 +463,19 @@ func (s *BatchScanIter) Close() {
 		s.heap.RecordSelBatches(s.selBatches)
 		s.selBatches = 0
 	}
-	if s.batch != nil {
-		PutBatch(s.batch)
-		s.batch = nil
-	}
 	if s.own != nil {
 		PutBatch(s.own)
 		s.own = nil
 	}
 }
 
-// BytesRead reports this scan's (partition's) charged bytes.
-func (s *BatchScanIter) BytesRead() int64 { return s.chunk.BytesRead() }
-
-// SizeHint implements BatchSizeHinter: exact when unfiltered.
+// SizeHint implements BatchSizeHinter: exact for an unfiltered scan of the
+// whole heap. A partition's share of the rows is unknown until it is read.
 func (s *BatchScanIter) SizeHint() (int64, bool) {
-	if s.Filter != nil {
+	if s.sf != nil || s.nrows < 0 {
 		return 0, false
 	}
 	return s.nrows, true
-}
-
-// compactBatch keeps only rows with keep[i] set, in order, and returns the
-// surviving count. It requires a dense batch: both callers compact a
-// scan-owned batch straight out of FillRows, before any selection vector
-// can exist, so logical and physical indices coincide.
-//
-//lint:ignore sinew/sel-invariant dense-only helper: callers compact scan-owned FillRows batches that never carry Sel
-func compactBatch(b *RowBatch, keep []bool) int {
-	n := b.Len()
-	k := 0
-	for i := 0; i < n; i++ {
-		if keep[i] {
-			k++
-		}
-	}
-	if k == n {
-		return k
-	}
-	for j := range b.Cols {
-		col := b.Cols[j]
-		if len(col) == 0 {
-			continue // column pruned away by the scan
-		}
-		m := b.Nulls[j]
-		for w := range m {
-			m[w] = 0
-		}
-		out := 0
-		for i := 0; i < n; i++ {
-			if !keep[i] {
-				continue
-			}
-			col[out] = col[i]
-			if col[i].IsNull() {
-				b.growNulls(j, out+1)
-				b.Nulls[j].Set(out)
-			}
-			out++
-		}
-		b.Cols[j] = col[:out]
-	}
-	b.n = k
-	return k
 }
 
 // ---------- Batch filter / project / limit ----------
@@ -600,12 +485,6 @@ func compactBatch(b *RowBatch, keep []bool) int {
 type BatchFilterIter struct {
 	In   BatchIterator
 	Pred Expr
-	// Pooled borrows the output buffer from the batch pool and returns it
-	// on Close, so column capacity survives across queries. Only safe when
-	// producer and consumer share one goroutine and the consumer honors
-	// the batch-validity contract (the scan's hoisted striped filter);
-	// batches that cross a channel must keep the default private buffer.
-	Pooled bool
 
 	ctx  *EvalCtx
 	out  *RowBatch
@@ -632,11 +511,7 @@ func (f *BatchFilterIter) NextBatch() (*RowBatch, error) {
 		}
 		f.keep = keep
 		if f.out == nil {
-			if f.Pooled {
-				f.out = GetBatch(in.Width())
-			} else {
-				f.out = NewRowBatch(in.Width(), in.Len())
-			}
+			f.out = NewRowBatch(in.Width(), in.Len())
 		}
 		out := f.out
 		out.Reset()
@@ -676,13 +551,7 @@ func (f *BatchFilterIter) NextBatch() (*RowBatch, error) {
 }
 
 // Close implements BatchIterator.
-func (f *BatchFilterIter) Close() {
-	f.In.Close()
-	if f.Pooled && f.out != nil {
-		PutBatch(f.out)
-		f.out = nil
-	}
-}
+func (f *BatchFilterIter) Close() { f.In.Close() }
 
 // RowBudgeter is implemented by cardinality-preserving batch operators
 // that can skip work for rows a LIMIT above them will discard. A parent

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"github.com/sinewdata/sinew/internal/rdbms/storage"
@@ -121,6 +122,23 @@ func TestRowBatchAdaptersRoundTrip(t *testing.T) {
 	}
 }
 
+// filterOf compiles an optional scan predicate into the in-scan filter,
+// as the planner does.
+func filterOf(pred Expr, width int) *SelFilter {
+	if pred == nil {
+		return nil
+	}
+	return CompileSelFilter([]Expr{pred}, width, nil, nil)
+}
+
+// scanBuild is a PipelineBuild running a bare, optionally filtered scan
+// over each partition — what a Gather over a lone scan runs.
+func scanBuild(h *storage.Heap, sf *SelFilter) PipelineBuild {
+	return func(r storage.PageRange) (BatchIterator, error) {
+		return NewBatchScanRange(h, sf, r.Start, r.End), nil
+	}
+}
+
 func TestBatchScanMatchesRowScan(t *testing.T) {
 	h := intHeap(t, 1000)
 	filter := &BinExpr{Op: "<", L: col(0, types.Int), R: lit(types.NewInt(333))}
@@ -129,18 +147,18 @@ func TestBatchScanMatchesRowScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := collectBatches(t, NewBatchScan(h, f, 64))
+		got := collectBatches(t, NewBatchScan(h, filterOf(f, 2)))
 		rowsEqual(t, got, want)
 	}
 }
 
 func TestBatchScanSizeHint(t *testing.T) {
 	h := intHeap(t, 100)
-	if n, exact := NewBatchScan(h, nil, 0).SizeHint(); !exact || n != 100 {
+	if n, exact := NewBatchScan(h, nil).SizeHint(); !exact || n != 100 {
 		t.Errorf("unfiltered hint = %d %v", n, exact)
 	}
 	f := &BinExpr{Op: "=", L: col(0, types.Int), R: lit(types.NewInt(1))}
-	if _, exact := NewBatchScan(h, f, 0).SizeHint(); exact {
+	if _, exact := NewBatchScan(h, filterOf(f, 2)).SizeHint(); exact {
 		t.Error("filtered hint should be inexact")
 	}
 }
@@ -162,7 +180,7 @@ func TestBatchFilterProjectLimitPipeline(t *testing.T) {
 	got := collectBatches(t, &BatchLimitIter{N: 40,
 		In: &BatchProjectIter{Exprs: proj,
 			In: &BatchFilterIter{Pred: pred,
-				In: NewBatchScan(h, nil, 32)}}})
+				In: NewBatchScan(h, nil)}}})
 	rowsEqual(t, got, want)
 }
 
@@ -171,7 +189,7 @@ func TestBatchFilterDoesNotAliasInput(t *testing.T) {
 	// the following NextBatch (batch reuse is the common case).
 	h := intHeap(t, 300)
 	pred := &BinExpr{Op: "<", L: col(0, types.Int), R: lit(types.NewInt(5))}
-	f := &BatchFilterIter{Pred: pred, In: NewBatchScan(h, nil, 64)}
+	f := &BatchFilterIter{Pred: pred, In: NewBatchScan(h, nil)}
 	b1, err := f.NextBatch()
 	if err != nil || b1 == nil {
 		t.Fatalf("first batch: %v %v", b1, err)
@@ -204,13 +222,13 @@ func TestBatchHashAggMatchesRowHashAgg(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := collectBatches(t, &BatchHashAggIter{
-		In: NewBatchScan(h, nil, 128), GroupBy: groupBy, Aggs: specs()})
+		In: NewBatchScan(h, nil), GroupBy: groupBy, Aggs: specs()})
 	// Both aggregates order groups by encoded key, so ordered compare works.
 	rowsEqual(t, got, want)
 	// Scalar aggregate over empty input still yields one row.
 	empty := intHeap(t, 0)
 	got = collectBatches(t, &BatchHashAggIter{
-		In: NewBatchScan(empty, nil, 16), Aggs: []*AggSpec{{Kind: AggCountStar}}})
+		In: NewBatchScan(empty, nil), Aggs: []*AggSpec{{Kind: AggCountStar}}})
 	if len(got) != 1 || got[0][0].I != 0 {
 		t.Errorf("scalar agg over empty = %v", got)
 	}
@@ -225,7 +243,7 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 4, 9} {
-			got := collectBatches(t, NewParallelScan(h, f, 64, workers))
+			got := collectBatches(t, NewParallelPipeline(h.Partitions(workers), scanBuild(h, filterOf(f, 2))))
 			rowsEqual(t, got, want)
 		}
 	}
@@ -234,7 +252,7 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 func TestParallelScanEarlyClose(t *testing.T) {
 	h := intHeap(t, 3000)
 	for i := 0; i < 20; i++ { // stress the shutdown path
-		it := NewParallelScan(h, nil, 32, 4)
+		it := NewParallelPipeline(h.Partitions(4), scanBuild(h, nil))
 		b, err := it.NextBatch()
 		if err != nil || b == nil {
 			t.Fatalf("first batch: %v %v", b, err)
@@ -244,18 +262,31 @@ func TestParallelScanEarlyClose(t *testing.T) {
 	}
 }
 
+// TestParallelScanBytesReadAndHint checks the partition scans a parallel
+// pipeline runs: together they charge exactly the heap's bytes, and an
+// exact size hint is the rows the scan yields — a partition must not
+// report the whole table's count, which a sorted-merge gather would use to
+// pre-size every partition's sort buffers.
 func TestParallelScanBytesReadAndHint(t *testing.T) {
-	h := intHeap(t, 2000)
-	it := NewParallelScan(h, nil, 64, 4)
-	if n, exact := it.SizeHint(); !exact || n != 2000 {
-		t.Errorf("hint = %d %v", n, exact)
+	colTypes := []types.Type{types.Int, types.Text}
+	h, pager := heapOf(t, colTypes, randBatchRows(rand.New(rand.NewSource(5)), colTypes, 2000))
+	if rows := collectBatches(t, NewParallelPipeline(h.Partitions(4), scanBuild(h, nil))); len(rows) != 2000 {
+		t.Fatalf("parallel rows = %d", len(rows))
 	}
-	rows := collectBatches(t, it)
-	if len(rows) != 2000 {
-		t.Fatalf("rows = %d", len(rows))
+	if read, _ := pager.Stats(); read != h.SizeBytes() {
+		t.Errorf("partitions charged %d bytes, heap size %d", read, h.SizeBytes())
 	}
-	if it.BytesRead() != h.SizeBytes() {
-		t.Errorf("bytes read %d, heap size %d", it.BytesRead(), h.SizeBytes())
+	whole := storage.PageRange{Start: 0, End: h.NumPages()}
+	for _, r := range append(h.Partitions(4), whole) {
+		s := NewBatchScanRange(h, nil, r.Start, r.End)
+		n, exact := s.SizeHint()
+		got := int64(len(collectBatches(t, s)))
+		if exact && n != got {
+			t.Errorf("pages [%d,%d): exact hint %d, scan yields %d rows", r.Start, r.End, n, got)
+		}
+		if r == whole && !exact {
+			t.Error("a whole-heap unfiltered scan should hint exactly")
+		}
 	}
 }
 
@@ -296,7 +327,7 @@ func TestScanCloseFlushesPagerOnEarlyStop(t *testing.T) {
 
 func TestBatchScanNeedCols(t *testing.T) {
 	h := intHeap(t, 300)
-	s := NewBatchScan(h, nil, 64)
+	s := NewBatchScan(h, nil)
 	s.NeedCols = []int{1} // only the string column is referenced
 	defer s.Close()
 	n := 0

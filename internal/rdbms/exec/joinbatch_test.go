@@ -38,7 +38,7 @@ func TestPropertyBatchJoinMatchesRowJoin(t *testing.T) {
 
 		size := 1 + r.Intn(40)
 		got := collectBatches(t, &BatchHashJoinIter{
-			Probe: NewBatchScan(h, nil, size), Build: NewBatchScan(bh, nil, size),
+			Probe: NewBatchScan(h, nil), Build: NewBatchScan(bh, nil),
 			ProbeKeys: probeKeys, BuildKeys: buildKeys, Residual: residual,
 			BuildWidth: len(buildTypes), Size: size,
 		})
@@ -55,8 +55,8 @@ func TestPropertyBatchJoinMatchesRowJoin(t *testing.T) {
 			t.Fatalf("seed %d: row join (filtered): %v", seed, err)
 		}
 		gotF := collectBatches(t, &BatchHashJoinIter{
-			Probe:     &BatchFilterIter{Pred: pred, In: NewBatchScan(h, nil, size)},
-			Build:     NewBatchScan(bh, nil, size),
+			Probe:     &BatchFilterIter{Pred: pred, In: NewBatchScan(h, nil)},
+			Build:     NewBatchScan(bh, nil),
 			ProbeKeys: probeKeys, BuildKeys: buildKeys, Residual: residual,
 			BuildWidth: len(buildTypes), Size: size,
 		})

@@ -25,16 +25,25 @@ import (
 //     probe their partitions and the match streams merge in partition
 //     order.
 //
-// Cancellation follows ParallelScanIter's discipline: Close signals stop,
-// drains the channels so blocked producers can observe it, and waits for
-// every worker (each worker closes its own source, flushing partition-
-// local pager accounting — no goroutine or byte leaks on early LIMIT or
-// error termination).
+// Cancellation: Close signals stop, drains the channels so blocked
+// producers can observe it, and waits for every worker (each worker closes
+// its own source, flushing partition-local pager accounting — no goroutine
+// or byte leaks on early LIMIT or error termination).
 
 // PipelineBuild constructs one worker's operator chain over a page range.
 // It runs on the worker goroutine; any per-worker scratch state (fused
 // extraction kernels, eval contexts) must be created inside it.
 type PipelineBuild func(part storage.PageRange) (BatchIterator, error)
+
+// parallelItem is one message on a worker's merge channel: a batch or the
+// error that ended the worker's stream.
+type parallelItem struct {
+	b   *RowBatch
+	err error
+	// pool, when non-nil, is the producing worker's private batch pool; the
+	// merger hands the consumed batch back to it (releaseBatch).
+	pool *workerBatchPool
+}
 
 // workerBatchPool is one gather worker's private recycling loop for the
 // output batches it sends across the merge channel: the merger returns a

@@ -35,9 +35,9 @@ func heapOf(t *testing.T, colTypes []types.Type, rows []storage.Row) (*storage.H
 
 // chainBuild returns a PipelineBuild running scan→filter→project over one
 // partition, mirroring GatherNode.buildPartition.
-func chainBuild(h *storage.Heap, pred Expr, projs []Expr, size int) PipelineBuild {
+func chainBuild(h *storage.Heap, pred Expr, projs []Expr) PipelineBuild {
 	return func(r storage.PageRange) (BatchIterator, error) {
-		var cur BatchIterator = NewBatchScanRange(h, nil, size, r.Start, r.End)
+		var cur BatchIterator = NewBatchScanRange(h, nil, r.Start, r.End)
 		if pred != nil {
 			cur = &BatchFilterIter{In: cur, Pred: pred}
 		}
@@ -79,13 +79,12 @@ func TestPropertyParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: row pipeline: %v", seed, err)
 		}
-		size := 1 + r.Intn(40)
 		batch := collectBatches(t, &BatchProjectIter{Exprs: projs,
-			In: &BatchFilterIter{Pred: pred, In: NewBatchScan(h, nil, size)}})
+			In: &BatchFilterIter{Pred: pred, In: NewBatchScan(h, nil)}})
 		rowsEqual(t, batch, want)
 		for _, workers := range []int{2, 3, 5} {
 			par := collectBatches(t, NewParallelPipeline(
-				h.Partitions(workers), chainBuild(h, pred, projs, size)))
+				h.Partitions(workers), chainBuild(h, pred, projs)))
 			rowsEqual(t, par, want)
 		}
 		return true
@@ -126,10 +125,10 @@ func TestPropertyParallelAggMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		batch := collectBatches(t, &BatchHashAggIter{
-			In: NewBatchScan(h, nil, size), GroupBy: groupBy, Aggs: specs()})
+			In: NewBatchScan(h, nil), GroupBy: groupBy, Aggs: specs()})
 		for _, workers := range []int{2, 4} {
 			par := collectBatches(t, NewParallelHashAgg(
-				h.Partitions(workers), chainBuild(h, nil, nil, size),
+				h.Partitions(workers), chainBuild(h, nil, nil),
 				groupBy, specs(), false, size))
 			// Batch and parallel both emit in encoded-key order.
 			rowsEqual(t, par, batch)
@@ -144,7 +143,7 @@ func TestPropertyParallelAggMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		parD := collectBatches(t, NewParallelHashAgg(
-			h.Partitions(3), chainBuild(h, nil, nil, size), groupBy, nil, false, size))
+			h.Partitions(3), chainBuild(h, nil, nil), groupBy, nil, false, size))
 		if canonical(parD) != canonical(wantD) {
 			t.Fatalf("seed %d: parallel DISTINCT disagrees", seed)
 		}
@@ -200,7 +199,7 @@ func TestPropertyParallelJoinMatchesSerial(t *testing.T) {
 		}
 		for _, workers := range []int{2, 4} {
 			par := collectBatches(t, NewParallelHashJoin(
-				h.Partitions(workers), chainBuild(h, nil, nil, size),
+				h.Partitions(workers), chainBuild(h, nil, nil),
 				sliceIter(build...), probeKeys, buildKeys, residual,
 				size, len(colTypes)+2, 2))
 			rowsEqual(t, par, want)
@@ -240,35 +239,13 @@ func freezeCols(h *storage.Heap, stripe map[int]bool) int {
 	return h.FreezeColdPages()
 }
 
-// stripedChainBuild is chainBuild with the partition scan in striped page
-// mode, mirroring GatherNode.buildPartition over a segmented heap.
-func stripedChainBuild(h *storage.Heap, pred Expr, projs []Expr, size int) PipelineBuild {
+// selChainBuild mirrors GatherNode.buildPartition over a scan whose
+// predicate is compiled into the in-scan selection filter: the SelFilter
+// is shared across partitions, per-partition state instantiates on the
+// worker goroutine.
+func selChainBuild(h *storage.Heap, projs []Expr, sf *SelFilter) PipelineBuild {
 	return func(rg storage.PageRange) (BatchIterator, error) {
-		scan := NewBatchScanRange(h, nil, size, rg.Start, rg.End)
-		scan.EnableStriped()
-		var cur BatchIterator = scan
-		if pred != nil {
-			cur = &BatchFilterIter{In: cur, Pred: pred}
-		}
-		if projs != nil {
-			cur = &BatchProjectIter{In: cur, Exprs: projs}
-		}
-		return cur, nil
-	}
-}
-
-// selChainBuild mirrors GatherNode.buildPartition over a striped scan
-// whose predicate is compiled into the in-scan selection filter: the
-// SelFilter is shared across partitions, per-partition state instantiates
-// on the worker goroutine.
-func selChainBuild(h *storage.Heap, pred Expr, projs []Expr, size int, sf *SelFilter) PipelineBuild {
-	return func(rg storage.PageRange) (BatchIterator, error) {
-		scan := NewBatchScanRange(h, pred, size, rg.Start, rg.End)
-		if sf != nil {
-			scan.SetSelFilter(sf)
-		}
-		scan.EnableStriped()
-		var cur BatchIterator = scan
+		var cur BatchIterator = NewBatchScanRange(h, sf, rg.Start, rg.End)
 		if projs != nil {
 			cur = &BatchProjectIter{In: cur, Exprs: projs}
 		}
@@ -277,10 +254,12 @@ func selChainBuild(h *storage.Heap, pred Expr, projs []Expr, size int, sf *SelFi
 }
 
 // TestPropertyStripedMatchesRow extends the three-way differential test
-// with the frozen-segment leg: over heaps whose full pages are frozen
-// into column segments, the row pipeline, the striped serial batch
-// pipeline, and the striped parallel pipeline must agree — before and
-// after an Update un-freezes a page mid-table, leaving a frozen/row mix.
+// across every page mix the batch scan reads: the row pipeline, the serial
+// batch pipeline (hoisted filter and in-scan selection filter), and the
+// parallel pipelines must agree over a heap never frozen, the same heap
+// with its full pages frozen into column segments, with a row-form tail
+// appended, and after an Update un-freezes a page mid-table. A predicate
+// that errors on a row-form page must surface the row engine's error.
 func TestPropertyStripedMatchesRow(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -291,14 +270,6 @@ func TestPropertyStripedMatchesRow(t *testing.T) {
 		}
 		rows := randBatchRows(r, colTypes, 128+r.Intn(400))
 		h, _ := heapOf(t, colTypes, rows)
-		stripe := map[int]bool{r.Intn(len(colTypes)): true}
-		if r.Intn(2) == 0 {
-			stripe[0] = true
-		}
-		frozen := freezeCols(h, stripe)
-		if frozen == 0 {
-			t.Fatalf("seed %d: no pages froze", seed)
-		}
 
 		pred := randPred(r, colTypes, 3, true)
 		projs := make([]Expr, 1+r.Intn(3))
@@ -309,7 +280,7 @@ func TestPropertyStripedMatchesRow(t *testing.T) {
 				projs[i] = randNumExpr(r, colTypes, 2, true)
 			}
 		}
-		size := 1 + r.Intn(40)
+		sf := CompileSelFilter([]Expr{pred}, len(colTypes), nil, nil)
 
 		check := func(phase string) {
 			want, err := Collect(&ProjectIter{Exprs: projs,
@@ -317,34 +288,67 @@ func TestPropertyStripedMatchesRow(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %s: row pipeline: %v", seed, phase, err)
 			}
-			scan := NewBatchScan(h, nil, size)
-			scan.EnableStriped()
-			// A hoisted filter above a striped scan remains a supported
-			// operator shape (residual predicates land there).
-			striped := collectBatches(t, &BatchProjectIter{Exprs: projs,
-				In: &BatchFilterIter{Pred: pred, In: scan, Pooled: true}})
-			rowsEqual(t, striped, want)
+			// A hoisted filter above the scan remains a supported operator
+			// shape (residual predicates land there).
+			hoisted := collectBatches(t, &BatchProjectIter{Exprs: projs,
+				In: &BatchFilterIter{Pred: pred, In: NewBatchScan(h, nil)}})
+			rowsEqual(t, hoisted, want)
 			// The planner path proper: predicates compiled into the in-scan
 			// selection filter, survivors carried by a selection vector.
-			sf := CompileSelFilter([]Expr{pred}, len(colTypes), nil, nil)
-			selScan := NewBatchScan(h, pred, size)
-			selScan.SetSelFilter(sf)
-			selScan.EnableStriped()
-			selLeg := collectBatches(t, &BatchProjectIter{Exprs: projs, In: selScan})
+			selLeg := collectBatches(t, &BatchProjectIter{Exprs: projs, In: NewBatchScan(h, sf)})
 			rowsEqual(t, selLeg, want)
 			for _, workers := range []int{2, 3} {
 				par := collectBatches(t, NewParallelPipeline(
-					h.Partitions(workers), stripedChainBuild(h, pred, projs, size)))
+					h.Partitions(workers), chainBuild(h, pred, projs)))
 				rowsEqual(t, par, want)
 				selPar := collectBatches(t, NewParallelPipeline(
-					h.Partitions(workers), selChainBuild(h, pred, projs, size, sf)))
+					h.Partitions(workers), selChainBuild(h, projs, sf)))
 				rowsEqual(t, selPar, want)
-				scanPar := collectBatches(t, &BatchProjectIter{Exprs: projs,
-					In: NewParallelScanStriped(h, pred, size, workers, nil, nil, true, sf)})
-				rowsEqual(t, scanPar, want)
 			}
 		}
+		check("never frozen")
+
+		stripe := map[int]bool{r.Intn(len(colTypes)): true}
+		if r.Intn(2) == 0 {
+			stripe[0] = true
+		}
+		frozen := freezeCols(h, stripe)
+		if frozen == 0 {
+			t.Fatalf("seed %d: no pages froze", seed)
+		}
 		check("frozen")
+
+		// Append a row-form tail behind the frozen pages. Its last row
+		// carries a first-column value the random rows never hold, so the
+		// predicate below divides by zero on that row-form page alone.
+		tail := randBatchRows(r, colTypes, 1+r.Intn(200))
+		tail[len(tail)-1][0] = types.NewInt(99)
+		for _, row := range tail {
+			if err := h.Insert(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if h.NumFrozenPages() != frozen {
+			t.Fatalf("seed %d: insert changed frozen pages %d -> %d", seed, frozen, h.NumFrozenPages())
+		}
+		check("row-form tail")
+
+		errPred := &BinExpr{Op: ">", R: lit(types.NewInt(0)),
+			L: &BinExpr{Op: "/", L: lit(types.NewInt(1)),
+				R: &BinExpr{Op: "-", L: col(0, types.Int), R: lit(types.NewInt(99))}}}
+		_, wantErr := Collect(&FilterIter{Pred: errPred, In: NewScan(h, nil)})
+		if wantErr == nil {
+			t.Fatalf("seed %d: row engine did not fail on the ÷0 row", seed)
+		}
+		errSF := CompileSelFilter([]Expr{errPred}, len(colTypes), nil, nil)
+		for leg, it := range map[string]BatchIterator{
+			"serial":   NewBatchScan(h, errSF),
+			"parallel": NewParallelPipeline(h.Partitions(3), selChainBuild(h, nil, errSF)),
+		} {
+			if _, err := Collect(&BatchToRow{In: it}); err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("seed %d %s: in-scan filter error %v, row engine %v", seed, leg, err, wantErr)
+			}
+		}
 
 		// Update a row on a mid-table frozen page: it un-freezes back to
 		// row form and the scan now crosses a frozen/row mix.
@@ -386,12 +390,7 @@ func TestPropertyStripedSelConsumers(t *testing.T) {
 		pred := randPred(r, colTypes, 2, true)
 		sf := CompileSelFilter([]Expr{pred}, len(colTypes), nil, nil)
 		size := 1 + r.Intn(40)
-		selScan := func() *BatchScanIter {
-			s := NewBatchScan(h, pred, size)
-			s.SetSelFilter(sf)
-			s.EnableStriped()
-			return s
-		}
+		selScan := func() *BatchScanIter { return NewBatchScan(h, sf) }
 
 		check := func(phase string) {
 			// LIMIT: truncateBatch trims a selection-carrying batch by
@@ -407,7 +406,7 @@ func TestPropertyStripedSelConsumers(t *testing.T) {
 			gotL := collectBatches(t, &BatchLimitIter{N: n, In: selScan()})
 			rowsEqual(t, gotL, wantL)
 			gotLP := collectBatches(t, &BatchLimitIter{N: n,
-				In: NewParallelScanStriped(h, pred, size, 3, nil, nil, true, sf)})
+				In: NewParallelPipeline(h.Partitions(3), selChainBuild(h, nil, sf))})
 			rowsEqual(t, gotLP, wantL)
 
 			// GROUP BY over sel batches, serial and two-phase parallel.
@@ -430,7 +429,7 @@ func TestPropertyStripedSelConsumers(t *testing.T) {
 				t.Fatalf("seed %d %s: striped sel agg disagrees with row agg", seed, phase)
 			}
 			parA := collectBatches(t, NewParallelHashAgg(
-				h.Partitions(3), selChainBuild(h, pred, nil, size, sf),
+				h.Partitions(3), selChainBuild(h, nil, sf),
 				groupBy, aggs(), false, size))
 			if canonical(parA) != canonical(wantA) {
 				t.Fatalf("seed %d %s: parallel striped sel agg disagrees", seed, phase)
@@ -457,7 +456,7 @@ func TestPropertyStripedSelConsumers(t *testing.T) {
 			}
 			rowsEqual(t, gotJ, wantJ)
 			parJ := collectBatches(t, NewParallelHashJoin(
-				h.Partitions(2), selChainBuild(h, pred, nil, size, sf),
+				h.Partitions(2), selChainBuild(h, nil, sf),
 				sliceIter(build...), keys, keys, nil, size, len(colTypes)+2, 2))
 			rowsEqual(t, parJ, wantJ)
 		}
@@ -508,10 +507,8 @@ func TestStripedSegKernelFastPath(t *testing.T) {
 		return true, nil
 	}
 	run := func(segK SegExtractKernel) []storage.Row {
-		scan := NewBatchScan(h, nil, 64)
-		scan.EnableStriped()
 		return collectBatches(t, &BatchMultiExtractIter{
-			In: scan, DataIdx: 1, K: 1, Kernel: kernel, SegKernel: segK})
+			In: NewBatchScan(h, nil), DataIdx: 1, K: 1, Kernel: kernel, SegKernel: segK})
 	}
 
 	want := run(nil) // row Kernel everywhere
@@ -555,14 +552,14 @@ func TestParallelPipelinesReleaseOnEarlyClose(t *testing.T) {
 
 	mk := map[string]func() BatchIterator{
 		"pipeline": func() BatchIterator {
-			return NewParallelPipeline(h.Partitions(4), chainBuild(h, nil, nil, 32))
+			return NewParallelPipeline(h.Partitions(4), chainBuild(h, nil, nil))
 		},
 		"agg": func() BatchIterator {
-			return NewParallelHashAgg(h.Partitions(4), chainBuild(h, nil, nil, 32),
+			return NewParallelHashAgg(h.Partitions(4), chainBuild(h, nil, nil),
 				groupBy, aggs, false, 32)
 		},
 		"join": func() BatchIterator {
-			return NewParallelHashJoin(h.Partitions(4), chainBuild(h, nil, nil, 32),
+			return NewParallelHashJoin(h.Partitions(4), chainBuild(h, nil, nil),
 				sliceIter(build...), []Expr{col(0, types.Int)}, []Expr{col(0, types.Int)},
 				nil, 32, 4, 2)
 		},

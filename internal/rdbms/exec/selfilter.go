@@ -3,18 +3,18 @@ package exec
 import (
 	"sort"
 
-	"github.com/sinewdata/sinew/internal/rdbms/storage"
 	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
-// This file implements in-scan predicate evaluation for striped scans: the
+// This file implements in-scan predicate evaluation for batch scans: the
 // pushed-down conjuncts are compiled once at plan time into a SelFilter,
-// and the scan evaluates them page by page directly against the frozen
-// page's column vectors, emitting a selection vector (RowBatch.Sel)
-// instead of a compacted copy. Extraction atoms inside the conjuncts
-// (json_int(data, 'key') and friends) are rewritten to read shared slot
-// columns filled by one segment-kernel pass per page, so a predicate over
-// a striped attribute never parses a serialized record.
+// and the scan evaluates them page by page directly against the page's
+// column vectors (aliased from a frozen page, transposed from a row-form
+// one), emitting a selection vector (RowBatch.Sel) instead of a compacted
+// copy. Extraction atoms inside the conjuncts (json_int(data, 'key') and
+// friends) are rewritten to read shared slot columns filled by one kernel
+// pass per page — the segment kernel on frozen pages, so a predicate over
+// a striped attribute never parses a serialized record there.
 //
 // Conjuncts run in a statically ranked order (cheapest/most selective
 // first) and each one sees only the rows surviving the previous ones, so
@@ -26,8 +26,8 @@ import (
 // Error discipline: reordering and skipping rows changes which evaluation
 // error (if any) a query surfaces. Whenever the selection path errors on
 // a page, the page is replayed with the original conjunction over every
-// row in row order — exactly what the hoisted-filter pipeline did — and
-// that outcome (error or keep mask) is authoritative.
+// row in row order — exactly what a row-at-a-time filter does — and that
+// outcome (error or keep mask) is authoritative.
 
 // SelConjunct is one compiled conjunct of a SelFilter.
 type SelConjunct struct {
@@ -49,13 +49,13 @@ type SelConjunct struct {
 	rank float64
 }
 
-// SelFilter is the compiled in-scan filter of a striped batch scan. It is
+// SelFilter is the compiled in-scan filter of a batch scan. It is
 // immutable after compilation and safe to share across parallel scan
 // partitions; each scan instantiates its own evaluation state.
 type SelFilter struct {
 	Conjuncts []SelConjunct
-	// Filter is the full conjunction in pushed-down form — the row-form
-	// page filter and the error-replay predicate.
+	// Filter is the full conjunction in pushed-down form — the
+	// error-replay predicate.
 	Filter Expr
 	// Width is the physical scan width; slot ColExprs index Width+k.
 	Width int
@@ -92,7 +92,7 @@ type selCompiler struct {
 }
 
 // CompileSelFilter compiles pushed-down conjuncts into a SelFilter for a
-// striped scan of the given physical width. The lookups resolve an
+// batch scan of the given physical width. The lookups resolve an
 // extraction family to its kernel factories (nil-able; without a row
 // factory the family's atoms are left un-rewritten and evaluate through
 // the row-wise fallback). Returns nil when preds is empty.
@@ -322,10 +322,9 @@ type selScanState struct {
 	built         bool
 
 	// view is the predicate-evaluation facade: Cols[0:Width] alias the
-	// page shell's columns as they are filled, Cols[Width+k] the slot
+	// page batch's columns as they are filled, Cols[Width+k] the slot
 	// columns. Never pooled, never returned downstream.
 	view        *RowBatch
-	filled      []bool
 	slotCols    [][]types.Datum
 	slotsFilled bool
 	selBuf      []int32
@@ -340,7 +339,6 @@ func newSelScanState(sf *SelFilter) *selScanState {
 			Cols:  make([][]types.Datum, sf.Width+k),
 			Nulls: make([]NullBitmap, sf.Width+k),
 		},
-		filled:   make([]bool, sf.Width),
 		slotCols: make([][]types.Datum, k),
 	}
 }
@@ -375,190 +373,128 @@ func (st *selScanState) buildKernels() {
 	}
 }
 
-// beginPage resets the per-page fill tracking.
-func (st *selScanState) beginPage() {
-	for j := range st.filled {
-		st.filled[j] = false
+// beginPage resets the facade for a page of phys rows: no column is
+// filled yet and every row is selected.
+func (st *selScanState) beginPage(phys int) {
+	for j := range st.view.Cols {
+		st.view.Cols[j] = nil
 	}
-	st.slotsFilled = false
+	st.view.n = phys
 	st.view.Sel = nil
+	st.slotsFilled = false
 }
 
-// frozenSelBatch evaluates the scan's SelFilter against one frozen page
-// and returns the page as a selection-carrying alias batch. A fully
-// filtered page returns (nil, nil): the caller reads the next page.
-func (s *BatchScanIter) frozenSelBatch(fp *storage.FrozenPage) (*RowBatch, error) {
+// selOf turns a keep mask over a page's phys rows into a selection vector
+// in the scan-owned buffer; nil when every row survives.
+func (st *selScanState) selOf(keep []bool, phys int) []int32 {
+	if cap(st.selBuf) < phys {
+		st.selBuf = make([]int32, 0, phys)
+	}
+	sel := st.selBuf[:0]
+	for i := 0; i < phys; i++ {
+		if keep[i] {
+			sel = append(sel, int32(i))
+		}
+	}
+	if len(sel) == phys {
+		return nil
+	}
+	return sel
+}
+
+// filterPage evaluates the scan's SelFilter against the current page and
+// returns its selection: nil when every row survives, empty when none
+// does.
+func (s *BatchScanIter) filterPage() ([]int32, error) {
 	if s.selState == nil {
 		s.selState = newSelScanState(s.sf)
 	}
 	st := s.selState
 	st.buildKernels()
-	sf := s.sf
-	phys := fp.NumRows()
-	b := s.frozenShell()
-	st.beginPage()
-
-	fill := func(j int) error {
-		if st.filled[j] {
-			return nil
-		}
-		vals, nulls, err := fp.ColVals(j)
-		if err != nil {
-			return err
-		}
-		b.Cols[j] = vals
-		b.Nulls[j] = NullBitmap(nulls)
-		st.view.Cols[j] = vals
-		st.filled[j] = true
-		return nil
-	}
-	// fillNeeded materializes the scan's full column set — what the
-	// hoisted-filter pipeline would have handed its filter.
-	fillNeeded := func() error {
-		if s.NeedCols == nil {
-			for j := 0; j < s.width; j++ {
-				if err := fill(j); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for _, j := range s.NeedCols {
-			if err := fill(j); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	st.view.n = phys
+	phys := s.cur.n
+	st.beginPage(phys)
 	s.ctx.BeginBatch()
-	sel, replay, err := s.evalConjuncts(fp, b, fill, fillNeeded, phys)
+	if sel, ok := s.evalConjuncts(phys); ok {
+		return sel, nil
+	}
+	// The selection path failed somewhere: re-run the original conjunction
+	// row-wise over the whole page. Its outcome — error or keep mask — is
+	// what a row-at-a-time filter produces.
+	if err := s.fillNeeded(); err != nil {
+		return nil, err
+	}
+	keep, err := EvalPredBatch(s.sf.Filter, s.cur, s.ctx, st.keep)
 	if err != nil {
 		return nil, err
 	}
-	if replay {
-		// The selection path failed somewhere: re-run the original
-		// conjunction row-wise over the whole page. Its outcome — error
-		// or keep mask — is what the non-selective pipeline produces.
-		if err := fillNeeded(); err != nil {
-			return nil, err
-		}
-		b.n = phys
-		keep, err := EvalPredBatch(sf.Filter, b, s.ctx, st.keep)
-		if err != nil {
-			return nil, err
-		}
-		st.keep = keep
-		sel = s.selSlice(phys)
-		for i := 0; i < phys; i++ {
-			if keep[i] {
-				sel = append(sel, int32(i))
-			}
-		}
-		if len(sel) == phys {
-			sel = nil
-		}
-	}
-	if sel != nil && len(sel) == 0 {
-		return nil, nil
-	}
-	if err := fillNeeded(); err != nil {
-		return nil, err
-	}
-	for j := 0; j < s.width; j++ {
-		if _, _, seg := fp.Col(j); seg != nil {
-			b.Segs[j] = seg
-		}
-	}
-	b.n = phys
-	b.Sel = sel
-	if sel != nil {
-		s.selBatches++
-	}
-	return b, nil
+	st.keep = keep
+	return st.selOf(keep, phys), nil
 }
 
 // evalConjuncts runs the ranked conjuncts over the page, intersecting
-// selections. It reports replay=true when any evaluation step errors —
-// the caller then re-evaluates the page through the original filter.
-func (s *BatchScanIter) evalConjuncts(fp *storage.FrozenPage, b *RowBatch,
-	fill func(int) error, fillNeeded func() error, phys int) (sel []int32, replay bool, err error) {
+// selections. It reports ok=false when any evaluation step errors — the
+// caller then replays the page through the original filter.
+func (s *BatchScanIter) evalConjuncts(phys int) (sel []int32, ok bool) {
 	st := s.selState
 	for ci := range s.sf.Conjuncts {
 		c := &s.sf.Conjuncts[ci]
 		if sel != nil && len(sel) == 0 {
-			return sel, false, nil
+			return sel, true
 		}
-		var ferr error
+		var err error
 		if c.AllCols {
-			ferr = fillNeeded()
+			err = s.fillNeeded()
 		} else {
 			for _, j := range c.Cols {
-				if ferr = fill(j); ferr != nil {
+				if err = s.fill(j); err != nil {
 					break
 				}
 			}
 		}
-		if ferr == nil && c.Slots {
-			ferr = s.fillSlots(fp, fill, phys)
+		if err == nil && c.Slots {
+			err = s.fillSlots(phys)
 		}
-		if ferr != nil {
-			return nil, true, nil
+		if err != nil {
+			return nil, false
 		}
 		st.view.Sel = sel
 		var keep []bool
-		var kerr error
 		if c.Kern != nil {
 			n := st.view.Len()
 			if cap(st.keep) < n {
 				st.keep = make([]bool, n)
 			}
 			keep = st.keep[:n]
-			kerr = c.Kern(st.view, keep)
+			err = c.Kern(st.view, keep)
 		} else {
-			keep, kerr = EvalPredBatch(c.Pred, st.view, s.ctx, st.keep)
+			keep, err = EvalPredBatch(c.Pred, st.view, s.ctx, st.keep)
 		}
-		if kerr != nil {
-			return nil, true, nil
+		if err != nil {
+			return nil, false
 		}
 		st.keep = keep
 		if sel == nil {
-			kept := 0
-			for i := 0; i < phys; i++ {
-				if keep[i] {
-					kept++
-				}
-			}
-			if kept == phys {
-				continue
-			}
-			sel = s.selSlice(phys)
-			for i := 0; i < phys; i++ {
-				if keep[i] {
-					sel = append(sel, int32(i))
-				}
-			}
-		} else {
-			w := 0
-			for si := range keep {
-				if keep[si] {
-					sel[w] = sel[si]
-					w++
-				}
-			}
-			sel = sel[:w]
+			sel = st.selOf(keep, phys)
+			continue
 		}
+		w := 0
+		for si := range keep {
+			if keep[si] {
+				sel[w] = sel[si]
+				w++
+			}
+		}
+		sel = sel[:w]
 	}
-	return sel, false, nil
+	return sel, true
 }
 
 // fillSlots runs the extraction kernels once for the page, preferring the
-// segment kernel when the data column is striped and recognized, falling
-// back to record decoding over the materialized column. Kernels fill
-// every physical row — rows a previous conjunct dropped are still valid
-// records, matching BatchMultiExtractIter.
-func (s *BatchScanIter) fillSlots(fp *storage.FrozenPage, fill func(int) error, phys int) error {
+// segment kernel when the page is frozen and its data column striped and
+// recognized, falling back to record decoding over the materialized
+// column. Kernels fill every physical row — rows a previous conjunct
+// dropped are still valid records, matching BatchMultiExtractIter.
+func (s *BatchScanIter) fillSlots(phys int) error {
 	st := s.selState
 	if st.slotsFilled {
 		return nil
@@ -574,7 +510,7 @@ func (s *BatchScanIter) fillSlots(fp *storage.FrozenPage, fill func(int) error, 
 		st.slotCols[k] = st.slotCols[k][:phys]
 	}
 	handled := false
-	if st.segK != nil {
+	if fp := s.page.Frozen; fp != nil && st.segK != nil {
 		if _, _, seg := fp.Col(sf.DataIdx); seg != nil && seg.NumRows() == phys {
 			var err error
 			if handled, err = st.segK(seg, st.slotCols); err != nil {
@@ -583,10 +519,10 @@ func (s *BatchScanIter) fillSlots(fp *storage.FrozenPage, fill func(int) error, 
 		}
 	}
 	if !handled {
-		if err := fill(sf.DataIdx); err != nil {
+		if err := s.fill(sf.DataIdx); err != nil {
 			return err
 		}
-		if err := st.rowK(st.view.Cols[sf.DataIdx], st.slotCols); err != nil {
+		if err := st.rowK(s.cur.Cols[sf.DataIdx], st.slotCols); err != nil {
 			return err
 		}
 	}
@@ -604,41 +540,3 @@ var errSelKernels = &selKernelErr{}
 type selKernelErr struct{}
 
 func (*selKernelErr) Error() string { return "exec: selection-filter kernels unavailable" }
-
-// selSlice returns an empty selection buffer with capacity for the page:
-// the scan-owned buffer when batches are consumer-local, a fresh
-// allocation when they cross a goroutine boundary.
-func (s *BatchScanIter) selSlice(phys int) []int32 {
-	if !s.reuse {
-		return make([]int32, 0, phys)
-	}
-	st := s.selState
-	if cap(st.selBuf) < phys {
-		st.selBuf = make([]int32, 0, phys)
-	}
-	return st.selBuf[:0]
-}
-
-// frozenShell returns the cleared frozen-page shell batch (see
-// frozenBatch: never pooled, never Reset).
-func (s *BatchScanIter) frozenShell() *RowBatch {
-	b := s.shell
-	if b == nil || !s.reuse {
-		b = &RowBatch{
-			Cols:  make([][]types.Datum, s.width),
-			Nulls: make([]NullBitmap, s.width),
-			Segs:  make([]storage.ColumnSegment, s.width),
-		}
-		if s.reuse {
-			s.shell = b
-		}
-	}
-	for j := 0; j < s.width; j++ {
-		b.Cols[j] = nil
-		b.Nulls[j] = nil
-		b.Segs[j] = nil
-	}
-	b.n = 0
-	b.Sel = nil
-	return b
-}

@@ -36,7 +36,7 @@ func randSortKeys(r *rand.Rand, colTypes []types.Type) []SortKey {
 // builds a full BatchSortIter, otherwise a BatchTopNIter bounded at limit.
 func sortChainBuild(h *storage.Heap, pred Expr, keys []SortKey, limit int64, size int) PipelineBuild {
 	return func(r storage.PageRange) (BatchIterator, error) {
-		var cur BatchIterator = NewBatchScanRange(h, nil, size, r.Start, r.End)
+		var cur BatchIterator = NewBatchScanRange(h, nil, r.Start, r.End)
 		if pred != nil {
 			cur = &BatchFilterIter{In: cur, Pred: pred}
 		}
@@ -80,7 +80,7 @@ func TestPropertyBatchSortMatchesRowSort(t *testing.T) {
 		}
 
 		size := 1 + r.Intn(40)
-		var batchSrc BatchIterator = NewBatchScan(h, nil, size)
+		var batchSrc BatchIterator = NewBatchScan(h, nil)
 		if pred != nil {
 			batchSrc = &BatchFilterIter{Pred: pred, In: batchSrc}
 		}
@@ -128,7 +128,7 @@ func TestPropertyTopNMatchesSortLimit(t *testing.T) {
 
 		size := 1 + r.Intn(40)
 		batch := collectBatches(t, &BatchTopNIter{
-			In: NewBatchScan(h, nil, size), Keys: keys, N: limit, Size: size})
+			In: NewBatchScan(h, nil), Keys: keys, N: limit, Size: size})
 		rowsEqual(t, batch, want)
 
 		for _, workers := range []int{2, 4} {

@@ -2,136 +2,163 @@ package exec
 
 import (
 	"github.com/sinewdata/sinew/internal/rdbms/storage"
+	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
-// This file implements the striped page mode of the batch scan: instead of
-// copying rows out of the heap and transposing them, the scan reads whole
-// pages (storage.HeapChunkIter.ReadPage) and turns each frozen page into a
-// batch whose columns alias the page's immutable vectors — zero per-row
-// work for plain columns, one cached materialization for segment columns —
-// with the underlying ColumnSegments attached via RowBatch.Segs so
-// segment-aware operators can skip the materialized datums entirely.
-// Row-form pages (the write-hot tail) are transposed into scan-owned
-// buffers exactly like the regular batch scan.
+// This file implements the batch scan's page loop. The scan reads whole
+// pages (storage.HeapChunkIter.ReadPage) and turns each into one batch:
 //
-// Frozen-page batches alias immutable page storage and must never be
-// compacted in place, so a pushed-down filter is applied by attaching a
-// selection vector instead (selfilter.go): the planner compiles the
-// conjuncts into a SelFilter evaluated page by page against the column
-// vectors, and surviving rows are published through RowBatch.Sel with the
-// aliased columns untouched. Row-form pages are scan-owned copies and
-// filter by ordinary in-place compaction.
+//   - a frozen page's columns alias its immutable vectors — zero per-row
+//     work for plain columns, one cached materialization for segment
+//     columns — with the underlying ColumnSegments attached via
+//     RowBatch.Segs so segment-aware operators can skip the materialized
+//     datums entirely;
+//   - a row-form page (a heap never frozen by ANALYZE, or the write-hot
+//     tail of one that was) is transposed column by column into a
+//     scan-owned pooled batch.
+//
+// Either way columns are materialized on demand (fill), so a pushed-down
+// filter (selfilter.go) decodes only the columns its conjuncts read until
+// the page's selection is known, and a page whose selection empties out is
+// dropped before the remaining columns are touched. Survivors are
+// published through RowBatch.Sel: frozen-page batches alias immutable page
+// storage and must never be compacted, and row-form batches take the same
+// path so every consumer sees one batch shape.
 
-// EnableStriped switches the scan to striped page mode. It must be called
-// before the first NextBatch. A scan carrying a pushed-down filter
-// evaluates it in-scan through its SelFilter (SetSelFilter); when the
-// planner did not compile one, a degenerate single-conjunct SelFilter is
-// synthesized so frozen pages still filter via selection vectors.
-func (s *BatchScanIter) EnableStriped() {
-	if s.Filter != nil && s.sf == nil {
-		s.sf = CompileSelFilter([]Expr{s.Filter}, s.width, nil, nil)
-	}
-	s.striped = true
-}
-
-// SetSelFilter installs the plan-compiled in-scan filter. Call before
-// EnableStriped; the SelFilter's conjunction must be equivalent to the
-// scan's Filter expression (Filter remains the row-form page and replay
-// predicate).
-func (s *BatchScanIter) SetSelFilter(sf *SelFilter) { s.sf = sf }
-
-// nextStriped is NextBatch in striped page mode.
-func (s *BatchScanIter) nextStriped() (*RowBatch, error) {
+// NextBatch implements BatchIterator.
+func (s *BatchScanIter) NextBatch() (*RowBatch, error) {
 	if s.pageBuf == nil {
 		s.pageBuf = make([]storage.Row, storage.PageCapacity)
+		s.filled = make([]bool, s.width)
 	}
 	for {
 		pv, ok := s.chunk.ReadPage(s.pageBuf)
 		if !ok {
 			return nil, nil
 		}
-		if pv.Frozen != nil {
-			if s.sf != nil {
-				b, err := s.frozenSelBatch(pv.Frozen)
-				if err != nil {
-					return nil, err
-				}
-				if b == nil {
-					continue // page fully filtered out
-				}
-				return b, nil
-			}
-			return s.frozenBatch(pv.Frozen)
+		b, err := s.readPage(pv)
+		if err != nil || b != nil {
+			return b, err
 		}
-		if len(pv.Rows) == 0 {
-			continue
-		}
-		// Row-form page: transpose into a scan-owned batch. The buffer is
-		// deliberately separate from the frozen-page shell — FillRows reuses
-		// column capacity, which must never overwrite aliased page vectors —
-		// and comes from the batch pool so column capacity survives across
-		// queries (Close returns it).
-		var b *RowBatch
-		if s.reuse {
-			if s.own == nil {
-				s.own = GetBatch(s.width)
-			}
-			b = s.own
-		} else {
-			b = GetBatch(s.width)
-		}
-		b.FillRows(pv.Rows, s.NeedCols)
-		b.Segs = nil
-		if s.Filter != nil {
-			// Row-form pages are scan-owned copies: filter by ordinary
-			// in-place compaction, like the non-striped batch scan.
-			s.ctx.BeginBatch()
-			keep, err := EvalPredBatch(s.Filter, b, s.ctx, s.keep)
-			if err != nil {
-				return nil, err
-			}
-			s.keep = keep
-			if compactBatch(b, keep) == 0 {
-				continue
-			}
-		}
-		return b, nil
+		// Every row of the page was filtered out: read the next one.
 	}
 }
 
-// frozenBatch wraps one frozen page as a batch: needed columns alias the
-// page's vectors (materializing and caching segment columns on first use),
-// and every segment-backed column is exposed through Segs. The shell is
-// never pooled and never Reset — both would corrupt the aliased storage.
-func (s *BatchScanIter) frozenBatch(fp *storage.FrozenPage) (*RowBatch, error) {
-	b := s.frozenShell()
-	fill := func(j int) error {
+// readPage turns one page into a batch, or returns (nil, nil) when the
+// filter keeps none of its rows.
+func (s *BatchScanIter) readPage(pv storage.PageView) (*RowBatch, error) {
+	var b *RowBatch
+	if pv.Frozen != nil {
+		b = s.frozenShell()
+		b.n = pv.Frozen.NumRows()
+	} else {
+		// The transpose buffer is deliberately separate from the frozen
+		// shell — fillCol reuses column capacity, which must never
+		// overwrite aliased page vectors — and comes from the batch pool
+		// so column capacity survives across queries (Close returns it).
+		if s.own == nil {
+			s.own = GetBatch(s.width)
+		}
+		b = s.own
+		for j := range b.Cols {
+			b.Cols[j] = b.Cols[j][:0]
+			b.Nulls[j] = b.Nulls[j][:0]
+		}
+		b.n = len(pv.Rows)
+		b.Sel = nil
+	}
+	s.page, s.cur = pv, b
+	for j := range s.filled {
+		s.filled[j] = false
+	}
+	var sel []int32
+	if s.sf != nil {
+		var err error
+		if sel, err = s.filterPage(); err != nil {
+			return nil, err
+		}
+		if sel != nil && len(sel) == 0 {
+			return nil, nil
+		}
+	}
+	if err := s.fillNeeded(); err != nil {
+		return nil, err
+	}
+	if fp := pv.Frozen; fp != nil {
+		for j := 0; j < s.width; j++ {
+			if _, _, seg := fp.Col(j); seg != nil {
+				b.Segs[j] = seg
+			}
+		}
+	}
+	b.Sel = sel
+	if sel != nil {
+		s.selBatches++
+	}
+	return b, nil
+}
+
+// fill materializes column j of the current page once: a frozen page
+// aliases (materializing and caching) its column vector, a row-form page
+// transposes the column into the scan-owned batch.
+func (s *BatchScanIter) fill(j int) error {
+	if s.filled[j] {
+		return nil
+	}
+	b := s.cur
+	if fp := s.page.Frozen; fp != nil {
 		vals, nulls, err := fp.ColVals(j)
 		if err != nil {
 			return err
 		}
-		b.Cols[j] = vals
-		b.Nulls[j] = NullBitmap(nulls)
-		return nil
+		b.Cols[j], b.Nulls[j] = vals, NullBitmap(nulls)
+	} else {
+		b.fillCol(j, s.page.Rows)
 	}
+	if st := s.selState; st != nil {
+		st.view.Cols[j] = b.Cols[j]
+	}
+	s.filled[j] = true
+	return nil
+}
+
+// fillNeeded materializes the scan's full column set: NeedCols, or every
+// column when the scan is not pruned.
+func (s *BatchScanIter) fillNeeded() error {
 	if s.NeedCols == nil {
 		for j := 0; j < s.width; j++ {
-			if err := fill(j); err != nil {
-				return nil, err
+			if err := s.fill(j); err != nil {
+				return err
 			}
 		}
-	} else {
-		for _, j := range s.NeedCols {
-			if err := fill(j); err != nil {
-				return nil, err
-			}
+		return nil
+	}
+	for _, j := range s.NeedCols {
+		if err := s.fill(j); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// frozenShell returns the cleared frozen-page shell batch. It is never
+// pooled and never Reset — both would corrupt the aliased page storage.
+func (s *BatchScanIter) frozenShell() *RowBatch {
+	b := s.shell
+	if b == nil {
+		b = &RowBatch{
+			Cols:  make([][]types.Datum, s.width),
+			Nulls: make([]NullBitmap, s.width),
+			Segs:  make([]storage.ColumnSegment, s.width),
+		}
+		s.shell = b
 	}
 	for j := 0; j < s.width; j++ {
-		if _, _, seg := fp.Col(j); seg != nil {
-			b.Segs[j] = seg
-		}
+		b.Cols[j] = nil
+		b.Nulls[j] = nil
+		b.Segs[j] = nil
 	}
-	b.n = fp.NumRows()
-	return b, nil
+	b.n = 0
+	b.Sel = nil
+	return b
 }

@@ -91,10 +91,10 @@ type ScanNode struct {
 	AliasName string
 	Preds     []exec.Expr
 	// Batch selects the batch-at-a-time pipeline; BatchSize is rows per
-	// RowBatch and Workers > 1 selects the parallel partitioned scan.
+	// RowBatch for the operators above the scan (the scan itself emits one
+	// batch per heap page).
 	Batch     bool
 	BatchSize int
-	Workers   int
 	// NeedCols, when non-nil, restricts the batch scan to materializing
 	// only these column indices (scan column pruning, see
 	// pruneScanColumns).
@@ -107,16 +107,10 @@ type ScanNode struct {
 	// derived from (EXPLAIN only).
 	Skip      func() func(*storage.PageSummary) bool
 	SkipConds int
-	// Striped selects the striped page mode: frozen heap pages are
-	// delivered as column aliases with their segments attached
-	// (RowBatch.Segs), so the fused extraction above can read per-attribute
-	// vectors. Set by stripeScans on batch scans of segmented heaps.
-	Striped bool
-	// SelFilter is the in-scan compiled form of Preds for striped scans:
-	// ranked conjuncts evaluated page by page against frozen-page column
+	// SelFilter is the in-scan compiled form of Preds for batch scans:
+	// ranked conjuncts evaluated page by page against the page's column
 	// vectors, emitting selection vectors instead of compacted copies
-	// (see stripeScans / exec.CompileSelFilter). Nil when Preds is empty
-	// or the scan is not striped.
+	// (see stripeScans / exec.CompileSelFilter). Nil when Preds is empty.
 	SelFilter *exec.SelFilter
 }
 
@@ -135,11 +129,7 @@ func (s *ScanNode) Details() []string {
 		d = append(d, "Filter: "+predsDisplay(s.Preds))
 	}
 	if s.Batch {
-		line := fmt.Sprintf("Batch Size: %d", s.BatchSize)
-		if s.Workers > 1 {
-			line += fmt.Sprintf("  Workers: %d", s.Workers)
-		}
-		d = append(d, line)
+		d = append(d, fmt.Sprintf("Batch Size: %d", s.BatchSize))
 	}
 	if s.Skip != nil {
 		d = append(d, fmt.Sprintf("Page Skip: %d conds", s.SkipConds))
@@ -164,50 +154,39 @@ func (s *ScanNode) OpenBatch(ec *exec.ExecCtx) (exec.BatchIterator, bool) {
 		return nil, false
 	}
 	v := execView(ec, s.Heap)
-	var skip func(*storage.PageSummary) bool
-	if s.Skip != nil {
-		skip = s.Skip()
-	}
-	if s.Workers > 1 {
-		if s.Striped {
-			v.Owner().RecordParallelStriped(1)
-		}
-		return exec.NewParallelScanStriped(v, conjoinExec(s.Preds), s.BatchSize, s.Workers, s.NeedCols, skip, s.Striped, s.SelFilter), true
-	}
-	it := exec.NewBatchScan(v, conjoinExec(s.Preds), s.BatchSize)
+	return s.openRange(v, 0, v.NumPages()), true
+}
+
+// openRange opens the batch scan over pages [start, end) of v: the whole
+// heap for a serial scan, one partition under a Gather.
+func (s *ScanNode) openRange(v storage.ReadView, start, end int) *exec.BatchScanIter {
+	it := exec.NewBatchScanRange(v, s.SelFilter, start, end)
 	it.NeedCols = s.NeedCols
-	if skip != nil {
-		it.SetPageSkip(skip)
+	if s.Skip != nil {
+		it.SetPageSkip(s.Skip())
 	}
-	if s.Striped {
-		// A striped scan evaluates its predicates in-scan: frozen pages
-		// alias immutable column vectors and filter via selection vectors
-		// (exec.SelFilter); row-form pages compact in place.
-		if s.SelFilter != nil {
-			it.SetSelFilter(s.SelFilter)
-		}
-		it.EnableStriped()
-	}
-	return it, true
+	return it
 }
 
 func (s *ScanNode) batchAnnotation() string {
 	if !s.Batch {
 		return ""
 	}
-	if s.Workers > 1 {
-		if s.Striped {
-			return " (batch, parallel, striped)"
-		}
-		return " (batch, parallel)"
+	return " (batch" + scanModes(s) + ")"
+}
+
+// scanModes is the EXPLAIN suffix naming how a batch scan reads: striped
+// when the heap has frozen column-striped pages, sel when pushed-down
+// predicates run in-scan as selection vectors.
+func scanModes(s *ScanNode) string {
+	m := ""
+	if s.Heap.Segmented() {
+		m += ", striped"
 	}
-	if s.Striped {
-		if len(s.Preds) > 0 {
-			return " (batch, striped, sel)"
-		}
-		return " (batch, striped)"
+	if len(s.Preds) > 0 {
+		m += ", sel"
 	}
-	return " (batch)"
+	return m
 }
 
 // ---------- Filter ----------

@@ -75,13 +75,7 @@ func (g *GatherNode) Details() []string {
 func (g *GatherNode) Children() []Node { return []Node{g.Input} }
 
 func (g *GatherNode) batchAnnotation() string {
-	if g.Scan != nil && g.Scan.Striped {
-		if len(g.Scan.Preds) > 0 {
-			return " (batch, parallel, striped, sel)"
-		}
-		return " (batch, parallel, striped)"
-	}
-	return " (batch, parallel)"
+	return " (batch, parallel" + scanModes(g.Scan) + ")"
 }
 
 // buildPartition constructs one worker's operator chain over a page range
@@ -90,24 +84,13 @@ func (g *GatherNode) batchAnnotation() string {
 // worker goroutine, so per-worker scratch (scan eval contexts, fused
 // extraction kernels) is instantiated here.
 func (g *GatherNode) buildPartition(v storage.ReadView, r storage.PageRange) (exec.BatchIterator, error) {
-	// Predicates stay pushed into the partition scans; a striped partition
-	// evaluates them in-scan via its SelFilter (the compiled filter is
-	// immutable and shared, per-partition kernel/selection state is
-	// instantiated lazily on this worker goroutine). Worker-local batch
-	// pools in the mergers make selection-carrying and filtered batches
-	// safe to hand across the gather channel.
-	scan := exec.NewBatchScanRange(v, conjoinExec(g.Scan.Preds), g.Scan.BatchSize, r.Start, r.End)
-	scan.NeedCols = g.Scan.NeedCols
-	if g.Scan.Skip != nil {
-		scan.SetPageSkip(g.Scan.Skip())
-	}
-	if g.Scan.Striped {
-		if g.Scan.SelFilter != nil {
-			scan.SetSelFilter(g.Scan.SelFilter)
-		}
-		scan.EnableStriped()
-	}
-	var cur exec.BatchIterator = scan
+	// Predicates stay pushed into the partition scans, which evaluate them
+	// in-scan via the SelFilter (the compiled filter is immutable and
+	// shared, per-partition kernel/selection state is instantiated lazily
+	// on this worker goroutine). Worker-local batch pools in the mergers
+	// make selection-carrying and filtered batches safe to hand across the
+	// gather channel.
+	var cur exec.BatchIterator = g.Scan.openRange(v, r.Start, r.End)
 	for _, op := range g.Ops {
 		switch x := op.(type) {
 		case *FilterNode:
@@ -158,7 +141,7 @@ func (g *GatherNode) OpenBatch(ec *exec.ExecCtx) (exec.BatchIterator, bool) {
 	parts := v.Partitions(g.Workers)
 	if len(parts) > 1 {
 		owner.RecordParallelWorkers(len(parts))
-		if g.Scan.Striped {
+		if v.Segmented() {
 			owner.RecordParallelStriped(1)
 		}
 	}
@@ -277,7 +260,10 @@ func (p *Planner) parallelizeNode(n Node, underLimit bool) Node {
 		x.Outer = p.parallelizeNode(x.Outer, underLimit)
 		x.Inner = p.parallelizeNode(x.Inner, false)
 		return x
-	case *FilterNode, *ProjectNode, *MultiExtractNode:
+	case *FilterNode, *ProjectNode, *MultiExtractNode, *ScanNode:
+		// A lone filtered scan (a hash-join build side, say) gathers like
+		// any other chain; chainWorthwhile keeps a bare unfiltered scan
+		// serial.
 		if !underLimit {
 			if g := p.gatherChain(n); g != nil {
 				return g
@@ -293,8 +279,6 @@ func (p *Planner) parallelizeNode(n Node, underLimit bool) Node {
 		}
 		return n
 	default:
-		// ScanNode keeps its scan-level Workers parallelism; other leaves
-		// and unknown nodes are left alone.
 		return n
 	}
 }
@@ -365,8 +349,8 @@ func chainSafe(ops []Node, scan *ScanNode) bool {
 
 // chainWorthwhile reports whether the chain does enough per-row work for a
 // gather to pay off. Plain column projections over a filterless scan are
-// excluded — they are served by the fused collector (fusedCollect) or the
-// parallel scan itself, and a gather would only add clone+merge overhead.
+// excluded — they are served by the fused collector (fusedCollect) or a
+// serial scan, and a gather would only add clone+merge overhead.
 func chainWorthwhile(ops []Node, scan *ScanNode) bool {
 	if len(scan.Preds) > 0 {
 		return true
@@ -388,7 +372,6 @@ func chainWorthwhile(ops []Node, scan *ScanNode) bool {
 
 // newGather wraps input (a verified chain) in a GatherNode.
 func newGather(input Node, ops []Node, scan *ScanNode, workers int) *GatherNode {
-	scan.Workers = 0 // partitions are per-worker; the scan itself is serial
 	return &GatherNode{
 		baseNode: baseNode{layout: input.Layout(), rows: input.Rows(), cost: input.Cost()},
 		Input:    input,

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -350,9 +351,51 @@ func TestExplainBatchAnnotation(t *testing.T) {
 	if strings.Contains(sp.Explain(), "(batch)") {
 		t.Errorf("batch annotation with EnableBatch=false:\n%s", sp.Explain())
 	}
+	// Scans run in parallel only under a Gather: a filtered hash-join
+	// build side gets an ordered-merge Gather over a serial scan, and a
+	// bare unfiltered scan stays serial.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	big := buildCatalog(t, 2000, true)
+	for sql, want := range map[string]string{
+		`SELECT l.v, r.v FROM t l, t r WHERE l.grp = r.v AND l.v < 40`: "Merge: ordered",
+		`SELECT v, s FROM t`: "Seq Scan on t (batch)",
+	} {
+		text := planParallel(t, big, sql).Explain()
+		if !strings.Contains(text, want) {
+			t.Errorf("%q: EXPLAIN lacks %q:\n%s", sql, want, text)
+		}
+		for _, line := range strings.Split(text, "\n") {
+			if strings.Contains(line, "Seq Scan") && strings.Contains(line, "parallel") {
+				t.Errorf("%q: a scan runs parallel outside a Gather:\n%s", sql, text)
+			}
+		}
+	}
+}
+
+// planParallel plans sql with one parallel worker allowed per heap page.
+func planParallel(t *testing.T, cat Catalog, sql string) *SelectPlan {
+	t.Helper()
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := NewPlanner(cat, exec.NewRegistry(), parallelConfig()).PlanSelect(stmt.(*sqlparse.SelectStmt))
+	if err != nil {
+		t.Fatalf("plan %q: %v", sql, err)
+	}
+	return sp
+}
+
+// parallelConfig allows one parallel worker per heap page.
+func parallelConfig() *Config {
+	cfg := DefaultConfig()
+	cfg.ParallelScanMinPages = 1
+	return cfg
 }
 
 func TestRowAndBatchPlansAgree(t *testing.T) {
+	// Two workers over the table's four pages for the parallel plans.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	cat := buildCatalog(t, 500, true)
 	for _, sql := range []string{
 		`SELECT v, s FROM t WHERE v >= 250`,
@@ -368,6 +411,8 @@ func TestRowAndBatchPlansAgree(t *testing.T) {
 		`SELECT s, v, s FROM t LIMIT 13`,
 		// Aggregate over a fully pruned scan (no columns referenced).
 		`SELECT COUNT(*) FROM t`,
+		// Filtered hash-join build side: a Gather of its own when parallel.
+		`SELECT l.v, r.v FROM t l, t r WHERE l.grp = r.v AND l.v < 40`,
 	} {
 		stmt, err := sqlparse.Parse(sql)
 		if err != nil {
@@ -375,7 +420,7 @@ func TestRowAndBatchPlansAgree(t *testing.T) {
 		}
 		rowCfg := DefaultConfig()
 		rowCfg.EnableBatch = false
-		plans := map[string]*Config{"row": rowCfg, "batch": DefaultConfig()}
+		plans := map[string]*Config{"row": rowCfg, "batch": DefaultConfig(), "parallel": parallelConfig()}
 		var got map[string][]storage.Row
 		got = map[string][]storage.Row{}
 		for name, cfg := range plans {
@@ -390,18 +435,21 @@ func TestRowAndBatchPlansAgree(t *testing.T) {
 			}
 			got[name] = rows
 		}
-		r, b := got["row"], got["batch"]
-		if len(r) != len(b) {
-			t.Fatalf("%q: row %d rows, batch %d", sql, len(r), len(b))
-		}
-		for i := range r {
-			var rk, bk []byte
-			for j := range r[i] {
-				rk = r[i][j].HashKey(rk)
-				bk = b[i][j].HashKey(bk)
+		r := got["row"]
+		for _, mode := range []string{"batch", "parallel"} {
+			b := got[mode]
+			if len(r) != len(b) {
+				t.Fatalf("%q: row %d rows, %s %d", sql, len(r), mode, len(b))
 			}
-			if string(rk) != string(bk) {
-				t.Fatalf("%q row %d: row-mode %v vs batch-mode %v", sql, i, r[i], b[i])
+			for i := range r {
+				var rk, bk []byte
+				for j := range r[i] {
+					rk = r[i][j].HashKey(rk)
+					bk = b[i][j].HashKey(bk)
+				}
+				if string(rk) != string(bk) {
+					t.Fatalf("%q row %d: row-mode %v vs %s-mode %v", sql, i, r[i], mode, b[i])
+				}
 			}
 		}
 	}

@@ -538,9 +538,7 @@ func subsetOf(a, b map[string]bool) bool {
 
 // batchify marks a freshly built node as a batch operator when batch
 // execution is enabled; row-only children are bridged by a RowToBatch
-// adapter at Open time. A ScanNode over a large heap additionally gets a
-// parallel partitioned scan, one worker per ParallelScanMinPages pages,
-// bounded by GOMAXPROCS.
+// adapter at Open time.
 func (p *Planner) batchify(n Node) Node {
 	if p.Cfg == nil || !p.Cfg.EnableBatch {
 		return n
@@ -552,9 +550,6 @@ func (p *Planner) batchify(n Node) Node {
 	switch x := n.(type) {
 	case *ScanNode:
 		x.Batch, x.BatchSize = true, size
-		if w := p.pipelineWorkers(x.Heap); w > 1 {
-			x.Workers = w
-		}
 	case *FilterNode:
 		x.Batch, x.BatchSize = true, size
 	case *ProjectNode:

@@ -65,12 +65,6 @@ type Config struct {
 	// EnablePageSkip turns strict sparse-key predicates into per-page
 	// attr-presence / min-max skip checks (storage page summaries).
 	EnablePageSkip bool
-	// EnableStriped routes batch scans of segmented heaps through the
-	// striped page mode: frozen-page column segments feed fused extraction
-	// kernels directly, and scan predicates compile into in-scan
-	// selection-vector filters over the segment vectors. Session knob:
-	// SET enable_striped = on|off.
-	EnableStriped bool
 }
 
 // DefaultConfig returns Postgres-flavoured defaults.
@@ -92,7 +86,6 @@ func DefaultConfig() *Config {
 		ParallelScanMinPages: 4,
 		MaxParallelWorkers:   0,
 		EnablePageSkip:       true,
-		EnableStriped:        true,
 	}
 }
 

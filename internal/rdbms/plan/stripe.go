@@ -2,62 +2,43 @@ package plan
 
 import "github.com/sinewdata/sinew/internal/rdbms/exec"
 
-// This file implements the striped-scan routing pass. Every batch scan
-// over a heap with frozen column-striped pages switches into striped page
-// mode (frozen pages delivered as column aliases; predicates, if any, are
-// compiled into an in-scan exec.SelFilter whose ranked conjuncts run
-// directly against the page vectors and emit selection vectors). On top of
-// that, every MultiExtractNode chain sitting directly on a striped scan
-// attaches the family's segment-kernel factory to each MultiExtractNode
-// whose data column is segment-backed at that scan. The fused kernels then
-// read per-attribute vectors out of the frozen pages instead of decoding
-// serialized records row by row; the heap's row-form tail and foreign
-// segment types fall back to the row kernel per batch, so results are
-// identical either way.
+// This file implements the scan-compilation pass. Every batch scan with
+// pushed-down predicates gets them compiled into an in-scan
+// exec.SelFilter, whose ranked conjuncts run page by page against the
+// page's column vectors and emit selection vectors. On top of that, every
+// MultiExtractNode chain sitting directly on a batch scan of a heap with
+// frozen column-striped pages attaches the family's segment-kernel factory
+// to each MultiExtractNode whose data column is segment-backed at that
+// scan. The fused kernels then read per-attribute vectors out of the
+// frozen pages instead of decoding serialized records row by row; the
+// heap's row-form pages and foreign segment types fall back to the row
+// kernel per batch, so results are identical either way.
 
-// stripedEligible reports whether scans of this shape may run striped with
-// fused extraction reading segment vectors. Predicates no longer
-// disqualify the scan: filtered batches keep their page-aliased columns
-// (and attached segments) and carry the surviving rows in a selection
-// vector.
-func (p *Planner) stripedEligible(s *ScanNode) bool {
-	return p.scanStripes(s)
-}
-
-// scanStripes reports whether the scan itself may deliver frozen pages as
-// column aliases.
-func (p *Planner) scanStripes(s *ScanNode) bool {
-	return p.Cfg != nil && p.Cfg.EnableStriped && s.Batch && s.Heap.Segmented()
-}
-
-// stripeScan marks one scan striped and compiles its pushed-down
-// predicates into the in-scan selection filter. Extraction atoms inside
-// the conjuncts resolve their kernel factories through the session
-// registry, so a predicate like json_int(data,'age') > 30 reads the
-// segment's attribute vector instead of parsing records.
-func (p *Planner) stripeScan(s *ScanNode) {
-	s.Striped = true
-	if len(s.Preds) > 0 && s.SelFilter == nil {
-		width := len(s.Heap.Schema().Cols)
-		s.SelFilter = exec.CompileSelFilter(s.Preds, width, p.Funcs.StripedExtract, p.Funcs.MultiExtract)
-	}
+// stripedScan reports whether the scan delivers frozen pages whose column
+// segments fused extraction above it can read.
+func stripedScan(s *ScanNode) bool {
+	return s.Batch && s.Heap.Segmented()
 }
 
 // stripedFusable reports whether a single-key extraction group over child
-// is still worth fusing: a striped-eligible scan with a registered segment
-// factory benefits even for one key, because only a MultiExtractNode can
-// reach the segment vectors.
+// is still worth fusing: a striped scan with a registered segment factory
+// benefits even for one key, because only a MultiExtractNode can reach
+// the segment vectors.
 func (p *Planner) stripedFusable(family string, child Node) bool {
 	s, ok := child.(*ScanNode)
-	if !ok || !p.stripedEligible(s) {
+	if !ok || !stripedScan(s) {
 		return false
 	}
 	_, ok = p.Funcs.StripedExtract(family)
 	return ok
 }
 
-// stripeScans walks the plan and routes MultiExtract-over-scan chains
-// through the striped page mode.
+// stripeScans walks the plan, compiling every batch scan's predicates into
+// its SelFilter and routing MultiExtract-over-scan chains to the segment
+// kernels. Extraction atoms inside the predicates resolve their kernel
+// factories through the session registry, so a predicate like
+// json_int(data,'age') > 30 reads the segment's attribute vector instead
+// of parsing records.
 func (p *Planner) stripeScans(n Node) {
 	if n == nil {
 		return
@@ -65,16 +46,14 @@ func (p *Planner) stripeScans(n Node) {
 	if m, ok := n.(*MultiExtractNode); ok {
 		p.stripeChain(m)
 	}
-	if s, ok := n.(*ScanNode); ok && p.scanStripes(s) {
-		// Even without fused extraction above, striped page delivery beats
-		// the row transpose: frozen pages arrive as column aliases instead
-		// of per-row FillRows copies.
-		p.stripeScan(s)
+	if s, ok := n.(*ScanNode); ok && s.Batch && len(s.Preds) > 0 && s.SelFilter == nil {
+		width := len(s.Heap.Schema().Cols)
+		s.SelFilter = exec.CompileSelFilter(s.Preds, width, p.Funcs.StripedExtract, p.Funcs.MultiExtract)
 	}
 	for _, c := range n.Children() {
-		// Avoid double-visiting inner MultiExtractNodes of a chain already
-		// handled by stripeChain; re-visiting is harmless (idempotent), so
-		// a plain recursive walk keeps this simple.
+		// Inner MultiExtractNodes of a chain already handled by
+		// stripeChain are visited again; that is idempotent, so a plain
+		// recursive walk keeps this simple.
 		p.stripeScans(c)
 	}
 }
@@ -95,17 +74,12 @@ func (p *Planner) stripeChain(top *MultiExtractNode) {
 		n = m.Child
 	}
 	scan, ok := n.(*ScanNode)
-	if !ok || !p.stripedEligible(scan) {
+	if !ok || !stripedScan(scan) {
 		return
 	}
-	routed := false
 	for _, m := range chain {
 		if f, ok := p.Funcs.StripedExtract(m.Family); ok {
 			m.SegFactory = f
-			routed = true
 		}
-	}
-	if routed {
-		p.stripeScan(scan)
 	}
 }

@@ -145,7 +145,7 @@ func (db *DB) PlanCacheStats() PlanCacheStats {
 
 // flagsKey folds the plan-shaping session settings into the cache key, so
 // SET enable_batch / batch_size / parallel_scan_min_pages /
-// max_parallel_workers / enable_page_skip / enable_striped force a re-plan
+// max_parallel_workers / enable_page_skip force a re-plan
 // rather than replaying a plan built under different settings.
 func (db *DB) flagsKey() string {
 	db.cfgMu.Lock()
@@ -167,11 +167,6 @@ func (db *DB) flagsKey() string {
 		b = append(b, ",s1"...)
 	} else {
 		b = append(b, ",s0"...)
-	}
-	if cfg.EnableStriped {
-		b = append(b, ",c1"...)
-	} else {
-		b = append(b, ",c0"...)
 	}
 	return string(b)
 }

@@ -176,8 +176,8 @@ type snapshotReadState struct {
 }
 
 // readerPlanConfigs returns one private planner configuration per
-// executor mode, so the differential readers cover row, batch,
-// striped/page-skip, and parallel plans without racing on session SETs.
+// executor mode, so the differential readers cover row, batch without and
+// with page skipping, and parallel plans without racing on session SETs.
 func readerPlanConfigs() map[string]*plan.Config {
 	mk := func(mut func(*plan.Config)) *plan.Config {
 		c := *plan.DefaultConfig()
@@ -191,19 +191,16 @@ func readerPlanConfigs() map[string]*plan.Config {
 		}),
 		"batch": mk(func(c *plan.Config) {
 			c.EnableBatch = true
-			c.EnableStriped = false
 			c.EnablePageSkip = false
 			c.MaxParallelWorkers = 1
 		}),
 		"striped": mk(func(c *plan.Config) {
 			c.EnableBatch = true
-			c.EnableStriped = true
 			c.EnablePageSkip = true
 			c.MaxParallelWorkers = 1
 		}),
 		"parallel": mk(func(c *plan.Config) {
 			c.EnableBatch = true
-			c.EnableStriped = true
 			c.MaxParallelWorkers = 4
 			c.ParallelScanMinPages = 1
 		}),

@@ -351,11 +351,11 @@ func partitionRanges(pages, n int) []PageRange {
 	return out
 }
 
-// HeapChunkIter reads live rows of a page range in bulk — the storage-side
-// feeder of the batch executor. Like HeapIter it accumulates page-read
-// bytes locally and flushes them to the pager at the end of the range or
-// on Close, and it tracks bytes per iterator so a partitioned scan can
-// report byte accounting per partition.
+// HeapChunkIter reads live rows of a page range in bulk (ReadRows) or a
+// page at a time (ReadPage, the batch scan's feeder). Like HeapIter it
+// accumulates page-read bytes locally and flushes them to the pager at
+// the end of the range or on Close, and it tracks bytes per iterator so a
+// partitioned scan can report byte accounting per partition.
 type HeapChunkIter struct {
 	pages   []*page
 	pager   *Pager

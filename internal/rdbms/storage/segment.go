@@ -61,8 +61,8 @@ type ZoneMapped interface {
 // ANALYZE (FreezeColdPages) compacts, keeping small hot tables row-form.
 const DefaultFreezeMinPages = 64
 
-// PageCapacity is the heap page grouping factor. Striped batch readers
-// size their ReadPage row buffers with it: a smaller buffer would silently
+// PageCapacity is the heap page grouping factor. Batch scans size their
+// ReadPage row buffers with it: a smaller buffer would silently
 // drop rows of a full row-form page.
 const PageCapacity = rowsPerPage
 
@@ -181,7 +181,7 @@ func (h *Heap) SetFreezeMinPages(n int) {
 func (h *Heap) NumFrozenPages() int { return h.frozen }
 
 // Segmented reports whether any page of the heap is frozen (the planner's
-// routing test for striped scans).
+// test for routing fused extraction to segment kernels).
 func (h *Heap) Segmented() bool { return h.frozen > 0 }
 
 // FreezeColdPages stripes every eligible page — full, no deleted slots,
@@ -307,7 +307,7 @@ func pageRows(p *page) []Row {
 	return rows
 }
 
-// PageView is one page as delivered to the striped batch scan: either a
+// PageView is one page as delivered to the batch scan: either a
 // frozen striped page or the live rows of a row-form page.
 type PageView struct {
 	Frozen *FrozenPage // non-nil for frozen pages
